@@ -278,6 +278,52 @@ def refines(pi: SetPartition, sigma: SetPartition) -> bool:
     return all(len({where[x] for x in b}) == 1 for b in pi)
 
 
+def _mobius_top(k: int) -> int:
+    """mu(bottom, top) in the lattice of set partitions of a k-element set."""
+    return (-1) ** (k - 1) * factorial(k - 1)
+
+
+def bottom_mobius(sigma: SetPartition) -> int:
+    """mu(bottom, sigma): the product over the blocks B of sigma of
+    (-1)^(|B|-1) (|B|-1)!."""
+    out = 1
+    for b in sigma:
+        out *= _mobius_top(len(b))
+    return out
+
+
+def upper_interval(pi: SetPartition) -> Iterator[tuple[SetPartition, int]]:
+    """Every sigma >= pi, with the Moebius value mu(pi, sigma). The interval
+    is the lattice of set partitions of the blocks of pi: each set
+    partition rho of their positions merges them into one sigma, and
+    mu(pi, sigma) = mu(bottom, rho)."""
+    for rho in set_partitions(len(pi)):
+        # merged blocks keep the order of their least positions, hence of
+        # their least elements: sigma comes out canonical
+        sigma = tuple(tuple(sorted(x for i in c for x in pi[i - 1])) for c in rho)
+        yield sigma, bottom_mobius(rho)
+
+
+def lower_interval(sigma: SetPartition) -> Iterator[tuple[SetPartition, int]]:
+    """Every tau <= sigma, with the Moebius value mu(tau, sigma). The
+    interval is the product over the blocks B of sigma of the lattices of
+    set partitions of B, and mu(tau, sigma) is the product over B of
+    (-1)^(k-1) (k-1)!, k the number of blocks of tau inside B."""
+    pieces = [
+        [
+            (tuple(tuple(b[i - 1] for i in c) for c in rho), _mobius_top(len(rho)))
+            for rho in set_partitions(len(b))
+        ]
+        for b in sigma
+    ]
+    for choice in itertools.product(*pieces):
+        mu = 1
+        for _, m in choice:
+            mu *= m
+        # the blocks are disjoint, so tuple order is least-element order
+        yield tuple(sorted(c for part, _ in choice for c in part)), mu
+
+
 def permute_set_partition(delta: Perm, pi: SetPartition) -> SetPartition:
     if len(delta) != sp_size(pi):
         raise ValueError("permutation size must match the set partition")

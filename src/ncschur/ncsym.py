@@ -15,11 +15,13 @@ import json
 from fractions import Fraction
 from functools import cache
 
-from . import ratlin
 from .combinat import (
     Perm,
     SetPartition,
+    bottom_mobius,
+    canonical_set_partition,
     format_set_partition,
+    lower_interval,
     meet,
     parse_set_partition,
     parts_factorial,
@@ -30,6 +32,7 @@ from .combinat import (
     slash,
     sp_size,
     multiplicity_factorial,
+    upper_interval,
 )
 from .ncpoly import NCPoly
 from .sym import SymExpr
@@ -86,7 +89,7 @@ class NCSymExpr:
 
     @classmethod
     def single(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymExpr":
-        return cls(basis, {tuple(tuple(b) for b in pi): Fraction(coeff)})
+        return cls(basis, {canonical_set_partition(pi): Fraction(coeff)})
 
     @classmethod
     def one(cls, basis: str = "h") -> "NCSymExpr":
@@ -160,13 +163,13 @@ class NCSymExpr:
     @classmethod
     def from_json(cls, text: str) -> "NCSymExpr":
         data = json.loads(text)
-        return cls(
-            data["basis"],
-            {
-                parse_set_partition(t["index"]): Fraction(t["coeff"])
-                for t in data["terms"]
-            },
-        )
+        terms: dict[SetPartition, Fraction] = {}
+        for t in data["terms"]:
+            # parsing canonicalizes, so spellings of one index such as 12/3
+            # and 3/21 land on one key and their coefficients add up
+            pi = parse_set_partition(t["index"])
+            terms[pi] = terms.get(pi, Fraction(0)) + Fraction(t["coeff"])
+        return cls(data["basis"], terms)
 
     def __str__(self):
         from .expr_format import format_terms
@@ -217,43 +220,32 @@ def to_m(expr: NCSymExpr) -> NCSymExpr:
     return expr.map_terms(lambda pi: NCSymExpr("m", fn(pi)))
 
 
-@cache
-def _to_m_matrix(basis: str, n: int):
-    order = basis_order(n)
-    pos = {pi: i for i, pi in enumerate(order)}
-    fn = _INDEX_TO_M[basis]
-    mat = [[Fraction(0)] * len(order) for _ in order]
-    for j, pi in enumerate(order):
-        for sig, c in fn(pi).items():
-            mat[pos[sig]][j] = c
-    return mat
-
-
-@cache
-def _from_m_matrix(basis: str, n: int):
-    return ratlin.inverse(_to_m_matrix(basis, n))
-
-
 def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
-    """Invert the monomial expansion of the p/e/h bases, degree by degree."""
+    """Rewrite a monomial-basis expression in the p/e/h basis by Moebius
+    inversion on the set-partition lattice (Rosas-Sagan). First
+    m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma. Inverting
+    h_sigma = sum over tau <= sigma of |mu(0, tau)| p_tau, and the same for
+    e_sigma with mu(0, tau), gives
+    p_sigma = sum over tau <= sigma of mu(tau, sigma) h_tau / |mu(0, sigma)|,
+    and for the e-basis the division is by mu(0, sigma)."""
     if expr.basis != "m":
         raise ValueError("from_m needs a monomial-basis expression")
     if target not in ("p", "e", "h"):
         raise ValueError(f"cannot convert into basis {target!r}")
-    out: dict[SetPartition, Fraction] = {}
-    by_degree: dict[int, dict[SetPartition, Fraction]] = {}
+    p_terms: dict[SetPartition, Fraction] = {}
     for pi, c in expr.terms.items():
-        by_degree.setdefault(sp_size(pi), {})[pi] = c
-    for n, terms in by_degree.items():
-        if n == 0:
-            out[()] = out.get((), Fraction(0)) + terms[()]
+        for sigma, mu in upper_interval(pi):
+            p_terms[sigma] = p_terms.get(sigma, 0) + c * mu
+    if target == "p":
+        return NCSymExpr("p", p_terms)
+    out: dict[SetPartition, Fraction] = {}
+    for sigma, c in p_terms.items():
+        if not c:
             continue
-        order = basis_order(n)
-        vec = [terms.get(pi, Fraction(0)) for pi in order]
-        coords = ratlin.mat_vec(_from_m_matrix(target, n), vec)
-        for pi, c in zip(order, coords):
-            if c:
-                out[pi] = out.get(pi, Fraction(0)) + c
+        scale = bottom_mobius(sigma)
+        c = c / (abs(scale) if target == "h" else scale)
+        for tau, mu in lower_interval(sigma):
+            out[tau] = out.get(tau, 0) + c * mu
     return NCSymExpr(target, out)
 
 
@@ -359,8 +351,6 @@ def standardize(block_family) -> SetPartition:
     interval, preserving relative order."""
     entries = sorted(x for b in block_family for x in b)
     rank = {x: i + 1 for i, x in enumerate(entries)}
-    from .combinat import canonical_set_partition
-
     return canonical_set_partition(
         tuple(rank[x] for x in b) for b in block_family
     )

@@ -1,6 +1,9 @@
-"""Exact linear algebra over the rationals: the small dense systems behind
-basis changes and rank computations. Matrices are lists of lists of
-Fraction; nothing here mutates its arguments.
+"""Exact dense linear algebra over the rationals: ranks of Specht
+families, the determinant of the normalized Schur transition matrix, and
+the Kostka inverse behind the commutative m-to-s change. The NCSym basis
+changes do not come through here; the tests use the dense inverse as the
+oracle they are checked against. Matrices are lists of lists of Fraction;
+nothing here mutates its arguments.
 """
 
 from __future__ import annotations

@@ -153,41 +153,39 @@ def normalized_schur_transition(n: int):
     ]
 
 
-@cache
-def _schur_transition_inverse(n: int):
-    mat = schur_transition(n)
-    order = basis_order(n)
-    for j, pi in enumerate(order):
-        for i in range(j + 1, len(order)):
-            if mat[i][j]:
-                raise ArithmeticError(
-                    f"Schur transition matrix not triangular at degree {n}"
-                )
-        if mat[j][j] * parts_factorial(shape_of(pi)) != 1:
-            raise ArithmeticError(
-                f"unexpected leading coefficient at degree {n}, index {pi}"
-            )
-    return ratlin.inverse(mat)
-
-
 def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
-    """Rewrite an h-basis expression in the Schur basis, degree by degree."""
+    """Rewrite an h-basis expression in the Schur basis by back-substitution.
+    In basis order the Schur element on pi is h_pi / lambda(pi)! plus
+    h-terms on earlier indices (schur_transition is upper triangular), so,
+    walking each degree from its last index down, the remaining coefficient
+    c of h_pi gives the coefficient lambda(pi)! c of s_pi, and that multiple
+    of the Schur element is taken away."""
     if expr.basis != "h":
         raise ValueError("h_to_schur needs an h-basis expression")
+    rest = dict(expr.terms)
     out: dict[SetPartition, Fraction] = {}
-    by_degree: dict[int, dict[SetPartition, Fraction]] = {}
-    for pi, c in expr.terms.items():
-        by_degree.setdefault(sp_size(pi), {})[pi] = c
-    for n, terms in by_degree.items():
-        if n == 0:
-            out[()] = out.get((), Fraction(0)) + terms[()]
-            continue
-        order = basis_order(n)
-        vec = [terms.get(pi, Fraction(0)) for pi in order]
-        coords = ratlin.mat_vec(_schur_transition_inverse(n), vec)
-        for pi, c in zip(order, coords):
-            if c:
-                out[pi] = out.get(pi, Fraction(0)) + c
+    for n in sorted({sp_size(pi) for pi in rest}):
+        passed: set[SetPartition] = set()
+        for pi in reversed(basis_order(n)):
+            passed.add(pi)
+            c = rest.pop(pi, 0)
+            if not c:
+                continue
+            column = standard_schur(pi).terms
+            lead = parts_factorial(shape_of(pi))
+            if column.get(pi, 0) * lead != 1:
+                raise ArithmeticError(
+                    f"unexpected leading coefficient at degree {n}, index {pi}"
+                )
+            out[pi] = c * lead
+            for sig, a in column.items():
+                if sig == pi:
+                    continue
+                if sig in passed:
+                    raise ArithmeticError(
+                        f"Schur transition matrix not triangular at degree {n}"
+                    )
+                rest[sig] = rest.get(sig, 0) - out[pi] * a
     return NCSymExpr("s", out)
 
 

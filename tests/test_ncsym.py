@@ -21,6 +21,7 @@ from ncschur.ncsym import (
     omega,
     oracle_expand,
     rho,
+    to_h,
     to_m,
 )
 from ncschur.sym import SymExpr, expand
@@ -122,6 +123,20 @@ def test_omega_is_an_involution():
             },
         )
         assert omega(omega(f)) == f
+    for n in range(6):
+        for pi in set_partitions(n):
+            f = NCSymExpr.single("m", pi)
+            assert omega(omega(f)).terms == f.terms
+
+
+def test_to_h_round_trips_through_m():
+    for n in range(6):
+        for basis in "pe":
+            for pi in set_partitions(n):
+                f = NCSymExpr.single(basis, pi)
+                g = to_h(f)
+                assert g.basis == "h"
+                assert to_m(g).terms == to_m(f).terms
 
 
 def test_delta_action_example():
@@ -244,6 +259,23 @@ def test_json_round_trip():
         },
     )
     assert NCSymExpr.from_json(f.to_json()) == f
+
+
+def test_single_canonicalizes_its_index():
+    f = NCSymExpr.single("h", ((2,), (1,)))
+    assert str(f) == "h[1/2]"
+    assert f == single("h", "1/2")
+    assert NCSymExpr.single("m", ((3, 1), (2,))).terms == {((1, 3), (2,)): 1}
+    with pytest.raises(ValueError):
+        NCSymExpr.single("h", ((1,), (3,)))
+
+
+def test_from_json_adds_spellings_of_one_index():
+    text = (
+        '{"algebra": "ncsym", "basis": "h", "terms": ['
+        '{"index": "12/3", "coeff": "1"}, {"index": "3/21", "coeff": "1/2"}]}'
+    )
+    assert NCSymExpr.from_json(text) == single("h", "12/3").scale(Fraction(3, 2))
 
 
 def test_str_rendering():

@@ -112,6 +112,25 @@ def test_h_to_schur_example():
     )
 
 
+def test_h_to_schur_rejects_a_bad_transition_column(monkeypatch):
+    import ncschur.schur as schur
+
+    good = schur.standard_schur
+    h = NCSymExpr.single("h", sp("1/2"))
+    monkeypatch.setattr(schur, "standard_schur", lambda pi: good(pi).scale(2))
+    with pytest.raises(ArithmeticError, match="leading coefficient"):
+        h_to_schur(h)
+    # s[12/3] picking up h[1/2/3], which comes after it in basis order
+    below = NCSymExpr.single("h", sp("1/2/3"))
+    monkeypatch.setattr(
+        schur,
+        "standard_schur",
+        lambda pi: good(pi) + below if pi == sp("12/3") else good(pi),
+    )
+    with pytest.raises(ArithmeticError, match="not triangular"):
+        h_to_schur(NCSymExpr.single("h", sp("12/3")))
+
+
 def test_schur_conversion_round_trip():
     for n in range(1, 5):
         for pi in set_partitions(n):
