@@ -2,8 +2,9 @@
 apply the standard maps, reproduce the worked examples, and run the batch
 verification suites.
 
-Exit codes: 0 success (and verified identities), 1 identity violation
-(the counterexample is printed), 2 usage or parse error.
+Exit codes: 0 success, 1 identity violation found by ``verify`` or an
+internal consistency check in ``lr``/``lgv-check`` (the counterexample is
+printed), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .combinat import (
     tableau,
 )
 from .ncsym import NCSymExpr, delta_action, from_m, omega, oracle_expand, rho, to_m
+
+# the size keywords of the verify suites; each suite takes exactly one
+SIZE_OPTIONS = ("max_size", "max_n", "max_degree")
 
 
 def _index_expr(args) -> NCSymExpr:
@@ -160,16 +164,21 @@ def cmd_lgv_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run one suite. ``--max-size`` sets the suite's own size keyword
+    (max_size, max_n or max_degree); ``--seed`` is only for a suite that
+    takes a seed. Anything else is a usage error."""
+    import inspect
+
+    params = inspect.signature(verify.SUITES[args.suite]).parameters
     options = {}
     if args.max_size is not None:
-        options["max_size"] = args.max_size
+        options[next(k for k in SIZE_OPTIONS if k in params)] = args.max_size
     if args.seed is not None:
+        if "seed" not in params:
+            print(f"verify {args.suite}: this suite takes no --seed", file=sys.stderr)
+            return 2
         options["seed"] = args.seed
-    try:
-        report = verify.run_suite(args.suite, **options)
-    except TypeError:
-        # suite without a matching keyword; rerun with defaults only
-        report = verify.run_suite(args.suite)
+    report = verify.run_suite(args.suite, **options)
     print(report)
     return 0 if report.ok else 1
 
@@ -249,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("suite", choices=sorted(verify.SUITES))
-    p.add_argument("--max-size", type=int, dest="max_size")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--max-size", type=int, dest="max_size",
+                   help="the suite's size bound (its max_size, max_n or max_degree)")
+    p.add_argument("--seed", type=int, help="random seed, for a seeded suite (deltaact)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -438,10 +438,6 @@ def delta_pi(pi: SetPartition) -> tuple[YoungTableau, Perm]:
     return t, t.reading_word()
 
 
-def set_partition_of_tableau(t: YoungTableau) -> SetPartition:
-    return canonical_set_partition(t.rows)
-
-
 def row_equivalence_class(t: YoungTableau) -> tuple[YoungTableau, ...]:
     """All tableaux with the same shape and the same row sets as t."""
     pools = [itertools.permutations(row) for row in t.rows]
@@ -571,10 +567,6 @@ def format_perm(delta: Perm) -> str:
     if len(delta) <= 9:
         return "".join(map(str, delta))
     return ",".join(map(str, delta))
-
-
-def format_skew(shape: SkewShape) -> str:
-    return str(shape)
 
 
 class ParseError(ValueError):

@@ -1,8 +1,10 @@
-"""Deterministic plain-text rendering of expressions, shared by the
-expression classes and the CLI. Coefficients print as reduced fractions."""
+"""The linear-combination core shared by the expression classes, and the
+deterministic plain-text rendering they and the CLI use. Coefficients
+print as reduced fractions."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 
@@ -22,3 +24,131 @@ def format_terms(basis: str, items, fmt_index) -> str:
         else:
             pieces.append(f"{sign} {body}")
     return " ".join(pieces)
+
+
+class LinearCombination:
+    """An immutable finite rational linear combination of basis elements,
+    with zero coefficients dropped.
+
+    A subclass names its ALGEBRA and BASES (the first basis is the default
+    of ``zero`` and ``one``) and supplies the index hooks ``check_index``
+    (validate, return the key), ``format_index`` and ``parse_index``, and
+    ``common``: the change into the one basis in which equality and hashing
+    are decided."""
+
+    __slots__ = ("basis", "terms")
+
+    ALGEBRA = ""
+    BASES: tuple[str, ...] = ()
+    LABELS: dict[str, str] = {}  # basis names that print differently
+
+    @staticmethod
+    def sort_key(idx):
+        return idx
+
+    def __init__(self, basis: str, terms: dict | None = None):
+        if basis not in self.BASES:
+            raise ValueError(f"unknown {self.ALGEBRA} basis {basis!r}")
+        object.__setattr__(self, "basis", basis)
+        check = self.check_index
+        clean = {}
+        for idx, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff:
+                clean[check(idx)] = coeff
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, basis: str | None = None):
+        return cls(basis or cls.BASES[0])
+
+    @classmethod
+    def single(cls, basis: str, idx, coeff=1):
+        return cls(basis, {tuple(idx): Fraction(coeff)})
+
+    @classmethod
+    def one(cls, basis: str | None = None):
+        return cls.single(basis or cls.BASES[0], ())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def map_terms(self, fn):
+        """Linear extension of an index-to-expression map fn."""
+        out: dict = {}
+        basis = None
+        for idx, coeff in self.terms.items():
+            image = fn(idx)
+            basis = image.basis
+            for key, c in image.terms.items():
+                out[key] = out.get(key, Fraction(0)) + coeff * c
+        return type(self)(basis or self.basis, out)
+
+    def __add__(self, other):
+        if self.basis != other.basis:
+            return self.common() + other.common()
+        terms = dict(self.terms)
+        for idx, c in other.terms.items():
+            terms[idx] = terms.get(idx, Fraction(0)) + c
+        return type(self)(self.basis, terms)
+
+    def __neg__(self):
+        return type(self)(self.basis, {idx: -c for idx, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        scalar = Fraction(scalar)
+        return type(self)(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.basis == other.basis:
+            return self.terms == other.terms
+        return self.common().terms == other.common().terms
+
+    def __hash__(self):
+        return hash(frozenset(self.common().terms.items()))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: self.sort_key(item[0]))
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "algebra": self.ALGEBRA,
+                "basis": self.basis,
+                "terms": [
+                    {"index": self.format_index(idx), "coeff": str(c)}
+                    for idx, c in self.sorted_terms()
+                ],
+            }
+        )
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Read a payload of this algebra. Parsing canonicalizes, so the
+        coefficients of repeated spellings of one index add up."""
+        data = json.loads(text)
+        algebra = data.get("algebra", cls.ALGEBRA)
+        if algebra != cls.ALGEBRA:
+            raise ValueError(
+                f"{cls.__name__} reads algebra {cls.ALGEBRA!r}, not {algebra!r}"
+            )
+        terms: dict = {}
+        for t in data["terms"]:
+            idx = cls.parse_index(t["index"])
+            terms[idx] = terms.get(idx, Fraction(0)) + Fraction(t["coeff"])
+        return cls(data["basis"], terms)
+
+    def __str__(self):
+        label = self.LABELS.get(self.basis, self.basis)
+        return format_terms(label, self.sorted_terms(), self.format_index)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

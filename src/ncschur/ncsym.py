@@ -11,7 +11,6 @@ are pulled in lazily to avoid an import cycle.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -34,10 +33,9 @@ from .combinat import (
     multiplicity_factorial,
     upper_interval,
 )
+from .expr_format import LinearCombination
 from .ncpoly import NCPoly
 from .sym import SymExpr
-
-BASES = ("m", "p", "e", "h", "s", "st")
 
 # expansion into words costs k^n; anything past this is a mistake, not a job
 ORACLE_DEGREE_LIMIT = 8
@@ -62,30 +60,26 @@ def basis_order(n: int) -> tuple[SetPartition, ...]:
     return tuple(sorted(set_partitions(n), key=sp_order_key))
 
 
-class NCSymExpr:
+class NCSymExpr(LinearCombination):
     """A finite rational linear combination of NCSym basis elements indexed
     by set partitions. Indices of different sizes may coexist; every
     per-degree operation treats the homogeneous components separately."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
 
-    def __init__(self, basis: str, terms: dict[SetPartition, Fraction] | None = None):
-        if basis not in BASES:
-            raise ValueError(f"unknown NCSym basis {basis!r}")
-        object.__setattr__(self, "basis", basis)
-        clean = {}
-        for pi, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[tuple(tuple(b) for b in pi)] = coeff
-        object.__setattr__(self, "terms", clean)
+    ALGEBRA = "ncsym"
+    BASES = ("m", "p", "e", "h", "s", "st")
+    LABELS = {"st": "s^t"}
+    format_index = staticmethod(format_set_partition)
+    parse_index = staticmethod(parse_set_partition)
 
-    def __setattr__(self, *args):
-        raise AttributeError("NCSymExpr is immutable")
+    @staticmethod
+    def check_index(pi: SetPartition) -> SetPartition:
+        # the fast path: keys are taken as given, only made hashable
+        return tuple(tuple(b) for b in pi)
 
-    @classmethod
-    def zero(cls, basis: str = "m") -> "NCSymExpr":
-        return cls(basis)
+    def common(self) -> "NCSymExpr":
+        return to_m(self)
 
     @classmethod
     def single(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymExpr":
@@ -95,90 +89,16 @@ class NCSymExpr:
     def one(cls, basis: str = "h") -> "NCSymExpr":
         return cls.single(basis, ())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({sp_size(pi) for pi in self.terms}))
 
-    def map_terms(self, fn) -> "NCSymExpr":
-        """Linear extension of an index-to-expression map fn."""
-        out: dict = {}
-        basis = None
-        for pi, coeff in self.terms.items():
-            image = fn(pi)
-            basis = image.basis
-            for sig, c in image.terms.items():
-                out[sig] = out.get(sig, Fraction(0)) + coeff * c
-        return NCSymExpr(basis or self.basis, out)
-
-    def __add__(self, other: "NCSymExpr") -> "NCSymExpr":
-        if self.basis != other.basis:
-            return to_m(self) + to_m(other)
-        terms = dict(self.terms)
-        for pi, c in other.terms.items():
-            terms[pi] = terms.get(pi, Fraction(0)) + c
-        return NCSymExpr(self.basis, terms)
-
-    def __neg__(self) -> "NCSymExpr":
-        return NCSymExpr(self.basis, {pi: -c for pi, c in self.terms.items()})
-
-    def __sub__(self, other: "NCSymExpr") -> "NCSymExpr":
-        return self + (-other)
-
-    def scale(self, scalar) -> "NCSymExpr":
-        scalar = Fraction(scalar)
-        return NCSymExpr(self.basis, {pi: scalar * c for pi, c in self.terms.items()})
-
     def __mul__(self, other: "NCSymExpr") -> "NCSymExpr":
         return product(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCSymExpr):
-            return NotImplemented
-        if self.basis == other.basis:
-            return self.terms == other.terms
-        return to_m(self).terms == to_m(other).terms
-
-    def __hash__(self):
-        return hash((frozenset(to_m(self).terms.items()),))
 
     def sorted_terms(self):
         # leading indices first: descending basis order within each degree
         by_key = sorted(self.terms.items(), key=lambda item: sp_order_key(item[0]), reverse=True)
         return sorted(by_key, key=lambda item: sp_size(item[0]))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algebra": "ncsym",
-                "basis": self.basis,
-                "terms": [
-                    {"index": format_set_partition(pi), "coeff": str(c)}
-                    for pi, c in self.sorted_terms()
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NCSymExpr":
-        data = json.loads(text)
-        terms: dict[SetPartition, Fraction] = {}
-        for t in data["terms"]:
-            # parsing canonicalizes, so spellings of one index such as 12/3
-            # and 3/21 land on one key and their coefficients add up
-            pi = parse_set_partition(t["index"])
-            terms[pi] = terms.get(pi, Fraction(0)) + Fraction(t["coeff"])
-        return cls(data["basis"], terms)
-
-    def __str__(self):
-        from .expr_format import format_terms
-
-        label = {"st": "s^t"}.get(self.basis, self.basis)
-        return format_terms(label, self.sorted_terms(), format_set_partition)
-
-    def __repr__(self):
-        return f"NCSymExpr({self})"
 
 
 # ---------------------------------------------------------------------------

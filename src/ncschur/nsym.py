@@ -7,7 +7,6 @@ variables and the forgetful map onto classical symmetric functions.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -21,77 +20,32 @@ from .combinat import (
     parts_factorial,
     sort_to_partition,
 )
+from .expr_format import LinearCombination
 from .ncsym import NCSymExpr
 from .sym import SymExpr
 
-BASES = ("H", "R", "S")
 
-
-class NSymExpr:
+class NSymExpr(LinearCombination):
     """A finite rational linear combination of basis elements indexed by
     compositions."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
 
-    def __init__(self, basis: str, terms: dict[Composition, Fraction] | None = None):
-        if basis not in BASES:
-            raise ValueError(f"unknown NSym basis {basis!r}")
-        object.__setattr__(self, "basis", basis)
-        clean = {}
-        for alpha, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[check_composition(alpha)] = coeff
-        object.__setattr__(self, "terms", clean)
+    ALGEBRA = "nsym"
+    BASES = ("H", "R", "S")
+    check_index = staticmethod(check_composition)
+    format_index = staticmethod(format_composition)
+    parse_index = staticmethod(parse_composition)
 
-    def __setattr__(self, *args):
-        raise AttributeError("NSymExpr is immutable")
+    @staticmethod
+    def sort_key(alpha: Composition):
+        return (sum(alpha), alpha)
 
-    @classmethod
-    def zero(cls, basis: str = "H") -> "NSymExpr":
-        return cls(basis)
-
-    @classmethod
-    def single(cls, basis: str, alpha: Composition, coeff=1) -> "NSymExpr":
-        return cls(basis, {tuple(alpha): Fraction(coeff)})
-
-    @classmethod
-    def one(cls, basis: str = "H") -> "NSymExpr":
-        return cls.single(basis, ())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "NSymExpr") -> "NSymExpr":
-        if self.basis != other.basis:
-            return self.to_H() + other.to_H()
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, Fraction(0)) + c
-        return NSymExpr(self.basis, terms)
-
-    def __neg__(self) -> "NSymExpr":
-        return NSymExpr(self.basis, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other: "NSymExpr") -> "NSymExpr":
-        return self + (-other)
-
-    def scale(self, scalar) -> "NSymExpr":
-        scalar = Fraction(scalar)
-        return NSymExpr(self.basis, {a: scalar * c for a, c in self.terms.items()})
+    def common(self) -> "NSymExpr":
+        return self.to_H()
 
     def __mul__(self, other: "NSymExpr") -> "NSymExpr":
         return product(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NSymExpr):
-            return NotImplemented
-        if self.basis == other.basis:
-            return self.terms == other.terms
-        return self.to_H().terms == other.to_H().terms
-
-    def __hash__(self):
-        return hash(frozenset(self.to_H().terms.items()))
 
     def to_H(self) -> "NSymExpr":
         if self.basis == "H":
@@ -102,40 +56,6 @@ class NSymExpr:
             for beta, c in fn(alpha).items():
                 terms[beta] = terms.get(beta, Fraction(0)) + coeff * c
         return NSymExpr("H", terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algebra": "nsym",
-                "basis": self.basis,
-                "terms": [
-                    {"index": format_composition(a), "coeff": str(c)}
-                    for a, c in self.sorted_terms()
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NSymExpr":
-        data = json.loads(text)
-        return cls(
-            data["basis"],
-            {
-                parse_composition(t["index"]): Fraction(t["coeff"])
-                for t in data["terms"]
-            },
-        )
-
-    def __str__(self):
-        from .expr_format import format_terms
-
-        return format_terms(self.basis, self.sorted_terms(), format_composition)
-
-    def __repr__(self):
-        return f"NSymExpr({self})"
 
 
 @cache

@@ -11,7 +11,6 @@ functions that can occur.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -27,76 +26,27 @@ from .combinat import (
     sort_to_partition,
     transpose,
 )
+from .expr_format import LinearCombination
 from .ncpoly import CPoly
 
-BASES = "mpehs"
 
-
-class SymExpr:
+class SymExpr(LinearCombination):
     """A finite rational linear combination of basis elements m/p/e/h/s
     indexed by integer partitions."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
 
-    def __init__(self, basis: str, terms: dict[Partition, Fraction] | None = None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        object.__setattr__(self, "basis", basis)
-        clean = {}
-        for lam, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[check_partition(lam)] = coeff
-        object.__setattr__(self, "terms", clean)
+    ALGEBRA = "sym"
+    BASES = ("m", "p", "e", "h", "s")
+    check_index = staticmethod(check_partition)
+    format_index = staticmethod(format_partition)
+    parse_index = staticmethod(parse_partition)
 
-    def __setattr__(self, *args):
-        raise AttributeError("SymExpr is immutable")
-
-    @classmethod
-    def zero(cls, basis: str = "m") -> "SymExpr":
-        return cls(basis)
-
-    @classmethod
-    def single(cls, basis: str, lam: Partition, coeff=1) -> "SymExpr":
-        return cls(basis, {tuple(lam): Fraction(coeff)})
-
-    @classmethod
-    def one(cls, basis: str = "m") -> "SymExpr":
-        return cls.single(basis, ())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymExpr") -> "SymExpr":
-        if self.basis != other.basis:
-            return self.to_m() + other.to_m()
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, Fraction(0)) + c
-        return SymExpr(self.basis, terms)
-
-    def __neg__(self) -> "SymExpr":
-        return SymExpr(self.basis, {lam: -c for lam, c in self.terms.items()})
-
-    def __sub__(self, other: "SymExpr") -> "SymExpr":
-        return self + (-other)
-
-    def scale(self, scalar) -> "SymExpr":
-        scalar = Fraction(scalar)
-        return SymExpr(self.basis, {lam: scalar * c for lam, c in self.terms.items()})
+    def common(self) -> "SymExpr":
+        return self.to_m()
 
     def __mul__(self, other: "SymExpr") -> "SymExpr":
         return product(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymExpr):
-            return NotImplemented
-        if self.basis == other.basis:
-            return self.terms == other.terms
-        return self.to_m().terms == other.to_m().terms
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.to_m().terms.items())))
 
     def to_m(self) -> "SymExpr":
         if self.basis == "m":
@@ -111,38 +61,6 @@ class SymExpr:
         if self.basis == "s":
             return self
         return m_to_s(self.to_m())
-
-    def to_json(self) -> str:
-        items = sorted(self.terms.items())
-        return json.dumps(
-            {
-                "algebra": "sym",
-                "basis": self.basis,
-                "terms": [
-                    {"index": format_partition(lam), "coeff": str(c)}
-                    for lam, c in items
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymExpr":
-        data = json.loads(text)
-        return cls(
-            data["basis"],
-            {
-                parse_partition(t["index"]): Fraction(t["coeff"])
-                for t in data["terms"]
-            },
-        )
-
-    def __str__(self):
-        from .expr_format import format_terms
-
-        return format_terms(self.basis, sorted(self.terms.items()), format_partition)
-
-    def __repr__(self):
-        return f"SymExpr({self})"
 
 
 # ---------------------------------------------------------------------------

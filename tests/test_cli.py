@@ -164,3 +164,30 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])
     assert exc.value.code == 2
+
+
+def test_verify_max_size_reaches_the_suites_own_keyword(capsys):
+    code, out, _ = run(capsys, "verify", "specht", "--max-size", "2")
+    assert code == 0
+    assert "shapes of size <= 2" in out
+
+
+def test_verify_rejects_a_seed_the_suite_does_not_take(capsys):
+    code, out, err = run(capsys, "verify", "iota", "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
+def test_every_suite_has_exactly_one_size_keyword(capsys):
+    import inspect
+
+    from ncschur import verify
+    from ncschur.cli import SIZE_OPTIONS
+
+    for fn in verify.SUITES.values():
+        params = inspect.signature(fn).parameters
+        assert sum(k in params for k in SIZE_OPTIONS) == 1
+    code, out, _ = run(capsys, "verify", "deltaact", "--max-size", "2")
+    assert code == 0
+    assert "degrees <= 2" in out

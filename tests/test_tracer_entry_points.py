@@ -1,0 +1,40 @@
+"""perfbench/tracer.py wraps the library entry points by name. Every name it
+lists must still resolve the way its install() looks it up: as a module
+attribute, or in the class's own __dict__ for ``Class.method``."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_entry_point_resolves():
+    tracer = load_tracer()
+    missing = []
+    for mod_name, names in tracer.ENTRY_POINTS.items():
+        mod = importlib.import_module(f"ncschur.{mod_name}")
+        for qual in names:
+            if "." in qual:
+                cls_name, meth = qual.split(".")
+                cls = getattr(mod, cls_name, None)
+                ok = cls is not None and callable(vars(cls).get(meth))
+            else:
+                ok = callable(getattr(mod, qual, None))
+            if not ok:
+                missing.append(f"{mod_name}.{qual}")
+    assert missing == []
+
+
+def test_wrapped_tables_exist():
+    tracer = load_tracer()
+    modules = tracer.import_all()
+    assert set(modules["ncsym"]._EXPANDERS) == {"m", "p", "e", "h"}
+    assert all(callable(fn) for fn in modules["verify"].SUITES.values())
