@@ -17,6 +17,7 @@ from .combinat import (
     ParseError,
     SkewShape,
     format_partition,
+    parse_digit_blocks,
     parse_partition,
     parse_perm,
     parse_set_partition,
@@ -40,13 +41,7 @@ def _emit(args, expr) -> None:
 
 
 def _parse_tableau_rows(text: str):
-    rows = []
-    pos = 0
-    for piece in text.split("/"):
-        if not piece.isdigit():
-            raise ParseError(text, pos, "expected a digit block")
-        rows.append(tuple(int(ch) for ch in piece))
-        pos += len(piece) + 1
+    rows = parse_digit_blocks(text)
     lam = tuple(len(r) for r in rows)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ParseError(text, 0, "row lengths must weakly decrease")
@@ -106,8 +101,7 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    expr = rho(_index_expr(args))
-    print(expr.to_json() if args.format == "json" else str(expr))
+    _emit(args, rho(_index_expr(args)))
     return 0
 
 
@@ -271,10 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(str(exc), file=sys.stderr)
         return 2
 

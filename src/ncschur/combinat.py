@@ -219,6 +219,34 @@ def ribbon_shape(alpha: Composition) -> SkewShape:
     return skew(outer, sort_to_partition(inner))
 
 
+def jacobi_trudi_terms(
+    outer: Composition, inner: Partition = ()
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The signed Leibniz expansion of the Jacobi-Trudi determinant with
+    entries outer[i] - inner[j] - i + j: for every column permutation eps
+    whose entries outer[i] - inner[eps(i)] - i + eps(i) are all
+    non-negative, the pair (sign of eps, entries in row order), with eps in
+    lexicographic order. ``outer`` may be any composition; missing inner
+    parts read 0. A negative entry cuts its branch, so permutations that
+    cannot contribute are never built."""
+    ell = len(outer)
+    inner = tuple(inner) + (0,) * (ell - len(inner))
+
+    def rec(i: int, used: int, sign: int, entries: tuple[int, ...]):
+        if i == ell:
+            yield sign, entries
+            return
+        for j in range(ell):
+            c = outer[i] - inner[j] - i + j
+            if used >> j & 1 or c < 0:
+                continue
+            # columns already used right of this one each make an inversion
+            step = -1 if (used >> (j + 1)).bit_count() % 2 else 1
+            yield from rec(i + 1, used | 1 << j, sign * step, entries + (c,))
+
+    yield from rec(0, 0, 1, ())
+
+
 # ---------------------------------------------------------------------------
 # set partitions
 
@@ -387,13 +415,6 @@ def perm_sign(delta: Perm) -> int:
 def perm_compose(delta: Perm, eta: Perm) -> Perm:
     """delta after eta: i -> delta(eta(i))."""
     return tuple(delta[e - 1] for e in eta)
-
-
-def perm_inverse(delta: Perm) -> Perm:
-    inv = [0] * len(delta)
-    for i, d in enumerate(delta):
-        inv[d - 1] = i + 1
-    return tuple(inv)
 
 
 def shifted_concat(delta: Perm, eta: Perm) -> Perm:
@@ -611,9 +632,8 @@ def parse_skew(text: str) -> SkewShape:
         raise ParseError(text, 0, str(exc)) from None
 
 
-def parse_set_partition(text: str) -> SetPartition:
-    if text in ("", "-"):
-        return ()
+def parse_digit_blocks(text: str) -> list[tuple[int, ...]]:
+    """Slash-separated blocks of single digits, such as ``"134/25"``."""
     blocks = []
     pos = 0
     for piece in text.split("/"):
@@ -621,6 +641,13 @@ def parse_set_partition(text: str) -> SetPartition:
             raise ParseError(text, pos, "expected a digit block")
         blocks.append(tuple(int(ch) for ch in piece))
         pos += len(piece) + 1
+    return blocks
+
+
+def parse_set_partition(text: str) -> SetPartition:
+    if text in ("", "-"):
+        return ()
+    blocks = parse_digit_blocks(text)
     try:
         return canonical_set_partition(blocks)
     except ValueError as exc:

@@ -26,6 +26,17 @@ def format_terms(basis: str, items, fmt_index) -> str:
     return " ".join(pieces)
 
 
+def _field(obj, name: str, kind, where: str):
+    """obj[name]; obj must be a JSON object with a field of type(s) kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"{where} has no {name!r} field")
+    if not isinstance(obj[name], kind):
+        raise ValueError(f"{where} field {name!r} has the wrong type")
+    return obj[name]
+
+
 class LinearCombination:
     """An immutable finite rational linear combination of basis elements,
     with zero coefficients dropped.
@@ -132,19 +143,30 @@ class LinearCombination:
 
     @classmethod
     def from_json(cls, text: str):
-        """Read a payload of this algebra. Parsing canonicalizes, so the
-        coefficients of repeated spellings of one index add up."""
+        """Read a payload of this algebra: an object with a "basis" and a
+        list of "terms", each an object with an "index" string and a
+        "coeff", an integer or a string. Parsing canonicalizes, so the
+        coefficients of repeated spellings of one index add up. A malformed
+        payload raises ValueError naming the field."""
         data = json.loads(text)
+        raw_terms = _field(data, "terms", list, "payload")
         algebra = data.get("algebra", cls.ALGEBRA)
         if algebra != cls.ALGEBRA:
             raise ValueError(
                 f"{cls.__name__} reads algebra {cls.ALGEBRA!r}, not {algebra!r}"
             )
         terms: dict = {}
-        for t in data["terms"]:
-            idx = cls.parse_index(t["index"])
-            terms[idx] = terms.get(idx, Fraction(0)) + Fraction(t["coeff"])
-        return cls(data["basis"], terms)
+        for i, t in enumerate(raw_terms):
+            where = f"terms[{i}]"
+            idx = cls.parse_index(_field(t, "index", str, where))
+            # a JSON float is inexact: take an integer or a string such as "1/3"
+            coeff = _field(t, "coeff", (int, str), where)
+            try:
+                coeff = Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{where} field 'coeff' is not a rational") from None
+            terms[idx] = terms.get(idx, Fraction(0)) + coeff
+        return cls(_field(data, "basis", str, "payload"), terms)
 
     def __str__(self):
         label = self.LABELS.get(self.basis, self.basis)

@@ -6,7 +6,6 @@ variables and the forgetful map onto classical symmetric functions.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cache
 
@@ -16,6 +15,7 @@ from .combinat import (
     coarsenings,
     format_composition,
     interval_partition,
+    jacobi_trudi_terms,
     parse_composition,
     parts_factorial,
     sort_to_partition,
@@ -71,32 +71,11 @@ def ribbon_to_H(alpha: Composition) -> dict[Composition, Fraction]:
 
 @cache
 def immaculate_to_H(alpha: Composition) -> dict[Composition, Fraction]:
-    """Expand an immaculate basis element as the signed sum over
-    permutations of the shifted index, skipping negative parts and dropping
-    zero parts."""
-    ell = len(alpha)
+    """Expand an immaculate basis element as the Jacobi-Trudi determinant
+    on its index, with negative entries skipped and zero parts dropped."""
     out: dict[Composition, Fraction] = {}
-    for sigma in itertools.permutations(range(ell)):
-        parts = []
-        ok = True
-        sign = 1
-        for i in range(ell):
-            c = alpha[i] + sigma[i] - i
-            if c < 0:
-                ok = False
-                break
-            if c:
-                parts.append(c)
-        if not ok:
-            continue
-        inv = sum(
-            1
-            for i in range(ell)
-            for j in range(i + 1, ell)
-            if sigma[i] > sigma[j]
-        )
-        sign = -1 if inv % 2 else 1
-        beta = tuple(parts)
+    for sign, entries in jacobi_trudi_terms(alpha):
+        beta = tuple(c for c in entries if c)
         out[beta] = out.get(beta, Fraction(0)) + sign
     return {b: c for b, c in out.items() if c}
 

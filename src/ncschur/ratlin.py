@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the rationals: ranks of Specht
-families, the determinant of the normalized Schur transition matrix, and
-the Kostka inverse behind the commutative m-to-s change. The NCSym basis
-changes do not come through here; the tests use the dense inverse as the
-oracle they are checked against. Matrices are lists of lists of Fraction;
-nothing here mutates its arguments.
+"""Exact dense linear algebra over the rationals. The library uses
+``rank`` (ranks of Specht families) and ``determinant`` (of the normalized
+Schur transition matrix). ``inverse`` and ``mat_vec`` are the dense oracle
+that the tests check the triangular basis changes (``from_m``,
+``h_to_schur``, ``m_to_s``) against; ``solve`` has no caller and stays only
+because ``perfbench/tracer.py`` wraps it by name. Matrices are lists of
+lists of Fraction; nothing here mutates its arguments.
 """
 
 from __future__ import annotations

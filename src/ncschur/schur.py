@@ -27,6 +27,7 @@ from .combinat import (
     contains,
     delta_pi,
     interval_partition,
+    jacobi_trudi_terms,
     kostka,
     near_concat,
     parts_factorial,
@@ -44,47 +45,21 @@ from .combinat import (
 )
 from .ncpoly import NCPoly
 from .ncsym import NCSymExpr, basis_order, coproduct, delta_action, to_h, to_m
-from .sym import littlewood_richardson
+# littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
+from .sym import littlewood_richardson, lr_coefficients  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
 # the determinant
-
-def _leibniz_terms(shape: SkewShape):
-    """Signed Leibniz expansion data: for each permutation of the rows with
-    all shifted entries non-negative, the sign, the entry tuple, and the
-    factorial normalization."""
-    lam = shape.outer
-    ell = len(lam)
-    for eps in itertools.permutations(range(ell)):
-        entries = []
-        ok = True
-        for i in range(ell):
-            c = lam[i] - shape.inner_at(eps[i]) - i + eps[i]
-            if c < 0:
-                ok = False
-                break
-            entries.append(c)
-        if not ok:
-            continue
-        inv = sum(
-            1
-            for i in range(ell)
-            for j in range(i + 1, ell)
-            if eps[i] > eps[j]
-        )
-        sign = -1 if inv % 2 else 1
-        yield sign, tuple(entries), parts_factorial(entries)
-
 
 def source_skew_schur(shape: SkewShape) -> NCSymExpr:
     """The source skew Schur function on a skew shape, in the h-basis: the
     noncommutative determinant with entries h on single intervals scaled by
     reciprocal factorials, expanded in row order from the top."""
     terms: dict[SetPartition, Fraction] = {}
-    for sign, entries, fact in _leibniz_terms(shape):
+    for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner):
         pi = interval_partition(tuple(c for c in entries if c))
-        terms[pi] = terms.get(pi, Fraction(0)) + Fraction(sign, fact)
+        terms[pi] = terms.get(pi, Fraction(0)) + Fraction(sign, parts_factorial(entries))
     return NCSymExpr("h", terms)
 
 
@@ -363,12 +338,8 @@ def rs_lr_expand(shape: SkewShape):
     """The Littlewood-Richardson expansion of a Rosas-Sagan skew function
     into straight Rosas-Sagan functions: the list of (shape, coefficient)
     pairs. ``ncschur verify rslr`` checks that they sum back."""
-    out = []
-    for nu in partitions(shape.size):
-        c = littlewood_richardson(shape.outer, shape.inner, nu)
-        if c:
-            out.append((nu, c))
-    return out
+    # partitions(n) order, which for one size is lexicographically decreasing
+    return sorted(lr_coefficients(shape).items(), reverse=True)
 
 
 def _tensor_of(expr_left: NCSymExpr, expr_right: NCSymExpr, scalar=1) -> dict:
@@ -408,17 +379,12 @@ def rs_coproduct_check(lam: Partition, i: int) -> bool:
 def skew_kostka_check(shape: SkewShape) -> bool:
     """Whether every skew Kostka number splits as the Littlewood-Richardson
     weighted sum of straight Kostka numbers."""
-    n = shape.size
-    for gam in partitions(n):
-        lhs = kostka(shape, gam)
-        rhs = sum(
-            littlewood_richardson(shape.outer, shape.inner, nu)
-            * kostka(SkewShape(nu, ()), gam)
-            for nu in partitions(n)
-        )
-        if lhs != rhs:
-            return False
-    return True
+    coeffs = lr_coefficients(shape)
+    return all(
+        kostka(shape, gam)
+        == sum(c * kostka(SkewShape(nu, ()), gam) for nu, c in coeffs.items())
+        for gam in partitions(shape.size)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from . import ratlin
 from .combinat import (
     Partition,
     SkewShape,
     check_partition,
+    contains,
     format_partition,
+    jacobi_trudi_terms,
     kostka,
     parse_partition,
     partitions,
@@ -109,9 +110,9 @@ def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction]:
         return {(): Fraction(1)}
     if basis == "s":
         return {
-            gam: Fraction(kostka(SkewShape(lam, ()), gam))
+            gam: Fraction(k)
             for gam in partitions(n)
-            if kostka(SkewShape(lam, ()), gam)
+            if (k := kostka(SkewShape(lam, ()), gam))
         }
     poly = CPoly.one(n)
     for r in lam:
@@ -171,61 +172,38 @@ def jacobi_trudi(shape: SkewShape, flavor: str = "h") -> SymExpr:
         outer, inner = shape.outer, shape.inner
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    ell = len(outer)
-    if ell == 0:
-        return SymExpr.one(flavor)
     terms: dict[Partition, Fraction] = {}
-
-    def inner_at(j):
-        return inner[j] if j < len(inner) else 0
-
-    def rec(i: int, used: int, sign: int, entries: tuple[int, ...]):
-        if i == ell:
-            idx = sort_to_partition(entries)
-            terms[idx] = terms.get(idx, Fraction(0)) + sign
-            return
-        for j in range(ell):
-            if used >> j & 1:
-                continue
-            c = outer[i] - inner_at(j) - i + j
-            if c < 0:
-                continue
-            # columns already used above this one each contribute an inversion
-            inversions = (used >> (j + 1)).bit_count()
-            step = -1 if inversions % 2 else 1
-            rec(i + 1, used | 1 << j, sign * step, entries + (c,))
-
-    rec(0, 0, 1, ())
-    return SymExpr(flavor, {lam: c for lam, c in terms.items() if c})
-
-
-@cache
-def _kostka_inverse(n: int):
-    lams = list(partitions(n))
-    mat = [
-        [Fraction(kostka(SkewShape(lam, ()), gam)) for lam in lams] for gam in lams
-    ]
-    return lams, ratlin.inverse(mat)
+    for sign, entries in jacobi_trudi_terms(outer, inner):
+        idx = sort_to_partition(entries)
+        terms[idx] = terms.get(idx, Fraction(0)) + sign
+    return SymExpr(flavor, terms)
 
 
 def m_to_s(expr: SymExpr) -> SymExpr:
-    """Rewrite a monomial-basis expression in the Schur basis by inverting
-    the Kostka matrix degree by degree."""
+    """Rewrite a monomial-basis expression in the Schur basis by
+    back-substitution. s_lam is m_lam plus monomials on partitions that lam
+    strictly dominates (the Kostka matrix is unitriangular), and
+    partitions(n) comes in lexicographically decreasing order, which
+    extends dominance; so, walking it, the remaining coefficient c of m_lam
+    is the coefficient of s_lam, and c s_lam is taken away."""
     if expr.basis != "m":
         raise ValueError("m_to_s needs a monomial-basis expression")
-    by_degree: dict[int, dict[Partition, Fraction]] = {}
-    for lam, c in expr.terms.items():
-        by_degree.setdefault(sum(lam), {})[lam] = c
+    rest = dict(expr.terms)
     out: dict[Partition, Fraction] = {}
-    for n, terms in by_degree.items():
-        if n == 0:
-            out[()] = out.get((), Fraction(0)) + terms[()]
-            continue
-        lams, inv = _kostka_inverse(n)
-        vec = [terms.get(gam, Fraction(0)) for gam in lams]
-        for lam, coeff in zip(lams, ratlin.mat_vec(inv, vec)):
-            if coeff:
-                out[lam] = out.get(lam, Fraction(0)) + coeff
+    for n in sorted({sum(lam) for lam in rest}):
+        for lam in partitions(n):
+            c = rest.pop(lam, 0)
+            if not c:
+                continue
+            row = _index_to_m("s", lam)
+            if row.get(lam) != 1:
+                raise ArithmeticError(f"Kostka number K[{lam}, {lam}] is not 1")
+            out[lam] = c
+            for gam, k in row.items():
+                if gam > lam:  # a row already passed
+                    raise ArithmeticError(f"Kostka matrix not triangular at degree {n}")
+                if gam != lam:
+                    rest[gam] = rest.get(gam, 0) - c * k
     return SymExpr("s", out)
 
 
@@ -244,16 +222,23 @@ def skew_schur(shape: SkewShape, basis: str = "h") -> SymExpr:
     raise ValueError(f"cannot produce a skew Schur function in basis {basis!r}")
 
 
+def lr_coefficients(shape: SkewShape) -> dict[Partition, int]:
+    """The Littlewood-Richardson coefficients of a skew shape outer/inner:
+    nu -> c^outer_{inner,nu}, read off the Schur expansion of its skew
+    Schur function, for the nu where it is not zero."""
+    out = {}
+    for nu, c in skew_schur(shape, "s").terms.items():
+        if c.denominator != 1 or c < 0:
+            raise ArithmeticError(
+                f"non-integral LR coefficient for {shape.outer}/{shape.inner}, {nu}"
+            )
+        out[nu] = int(c)
+    return out
+
+
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The coefficient of s_nu in the skew Schur function on lam/mu."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if sum(lam) != sum(mu) + sum(nu):
+    if sum(lam) != sum(mu) + sum(nu) or not contains(lam, mu):
         return 0
-    from .combinat import contains
-
-    if not contains(lam, mu):
-        return 0
-    coeff = skew_schur(SkewShape(lam, mu), "s").terms.get(nu, Fraction(0))
-    if coeff.denominator != 1 or coeff < 0:
-        raise ArithmeticError(f"non-integral LR coefficient for {lam}/{mu}, {nu}")
-    return int(coeff)
+    return lr_coefficients(SkewShape(lam, mu)).get(nu, 0)

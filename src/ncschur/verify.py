@@ -37,6 +37,7 @@ from .ncsym import (
     rho,
     to_m,
 )
+from .nsym import NSymExpr
 from .sym import jacobi_trudi
 
 
@@ -73,7 +74,10 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
     """Products of straight source functions split into concatenation and
     near-concatenation; basis products match the slash product and the
     word-level oracle."""
-    detail = f"|lam|+|mu| <= {max_size}; slash/oracle pairs of total size <= 6"
+    slash_size = min(max_size, 6)
+    detail = (
+        f"|lam|+|mu| <= {max_size}; slash/oracle pairs of total size <= {slash_size}"
+    )
     for total in range(max_size + 1):
         for a in range(total + 1):
             for lam in partitions(a):
@@ -92,7 +96,7 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
     from .combinat import slash
     from .ncsym import _EXPANDERS
 
-    for total in range(2, 7):
+    for total in range(2, slash_size + 1):
         for a in range(1, total):
             n = total
             for pi in set_partitions(a):
@@ -117,7 +121,7 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                                 f"sig={format_set_partition(sig)}",
                             )
     # the structured two-term rules with permutations and on basis elements
-    for total in range(2, 6):
+    for total in range(2, min(max_size, 5) + 1):
         for a in range(1, total):
             for pi in set_partitions(a):
                 for sig in set_partitions(total - a):
@@ -298,33 +302,22 @@ def suite_iota(max_n: int = 6) -> SuiteReport:
     detail = f"compositions and shapes of size <= {max_n}"
     for n in range(1, max_n + 1):
         for alpha in compositions(n):
-            if nsym.iota(NSym_R(alpha)) != schur.ribbon_source(alpha):
+            if nsym.iota(NSymExpr.single("R", alpha)) != schur.ribbon_source(alpha):
                 return SuiteReport(
                     "iota", False, detail, f"ribbon alpha={format_partition(alpha)}"
                 )
-            h = NSym_H(alpha)
+            h = NSymExpr.single("H", alpha)
             if rho(nsym.iota(h)) != nsym.chi(h):
                 return SuiteReport(
                     "iota", False, detail, f"H alpha={format_partition(alpha)}"
                 )
         for lam in partitions(n):
-            if nsym.iota(NSym_S(lam)) != schur.source_skew_schur(SkewShape(lam, ())):
+            immaculate = nsym.iota(NSymExpr.single("S", lam))
+            if immaculate != schur.source_skew_schur(SkewShape(lam, ())):
                 return SuiteReport(
                     "iota", False, detail, f"immaculate lam={format_partition(lam)}"
                 )
     return SuiteReport("iota", True, detail)
-
-
-def NSym_H(alpha):
-    return nsym.NSymExpr.single("H", alpha)
-
-
-def NSym_R(alpha):
-    return nsym.NSymExpr.single("R", alpha)
-
-
-def NSym_S(alpha):
-    return nsym.NSymExpr.single("S", alpha)
 
 
 def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> SuiteReport:

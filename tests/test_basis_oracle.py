@@ -1,6 +1,8 @@
 """The lattice and back-substitution basis changes against the dense
 rational route: the expansion matrix of each basis, inverted by Gaussian
-elimination and applied to the coordinate vector in basis order."""
+elimination and applied to the coordinate vector in basis order. The
+commutative m-to-s change is checked the same way against the Kostka
+matrix."""
 
 import random
 from fractions import Fraction
@@ -9,9 +11,10 @@ from functools import cache
 import pytest
 
 from ncschur import ratlin
-from ncschur.combinat import set_partitions, sp_size
+from ncschur.combinat import SkewShape, kostka, partitions, set_partitions, sp_size
 from ncschur.ncsym import _INDEX_TO_M, NCSymExpr, basis_order, from_m, to_m
 from ncschur.schur import h_to_schur, schur_transition
+from ncschur.sym import SymExpr, m_to_s
 
 MAX_ORACLE_DEGREE = 5
 
@@ -104,3 +107,38 @@ def test_from_m_round_trips_at_degree_6(target):
     for pi in random.Random(6).sample(set_partitions(6), 4):
         expr = NCSymExpr.single("m", pi)
         assert to_m(from_m(expr, target)) == expr
+
+
+@cache
+def dense_kostka_inverse(n):
+    """The partitions of n and the inverse of the matrix whose column lam
+    holds the m-coordinates of s_lam: its column gam is m_gam in the s-basis."""
+    lams = list(partitions(n))
+    mat = [[Fraction(kostka(SkewShape(lam, ()), gam)) for lam in lams] for gam in lams]
+    return lams, ratlin.inverse(mat)
+
+
+def dense_m_to_s(expr):
+    out = {}
+    for gam, c in expr.terms.items():
+        lams, inv = dense_kostka_inverse(sum(gam))
+        j = lams.index(gam)
+        for lam, row in zip(lams, inv):
+            out[lam] = out.get(lam, Fraction(0)) + c * row[j]
+    return SymExpr("s", out)
+
+
+def test_m_to_s_matches_dense_kostka_inverse():
+    for n in range(7):
+        for gam in partitions(n):
+            expr = SymExpr.single("m", gam)
+            assert_same(m_to_s(expr), dense_m_to_s(expr))
+    rng = random.Random(13)
+    for _ in range(20):
+        terms = {}
+        for n in rng.sample(range(7), 3):
+            pool = list(partitions(n))
+            for gam in rng.sample(pool, min(3, len(pool))):
+                terms[gam] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        expr = SymExpr("m", terms)
+        assert_same(m_to_s(expr), dense_m_to_s(expr))

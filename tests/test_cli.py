@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,3 +192,34 @@ def test_every_suite_has_exactly_one_size_keyword(capsys):
     code, out, _ = run(capsys, "verify", "deltaact", "--max-size", "2")
     assert code == 0
     assert "degrees <= 2" in out
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("[1]", "payload must be a JSON object"),
+        ('{"basis": "h"}', "payload has no 'terms' field"),
+        ('{"basis": "h", "terms": 5}', "payload field 'terms' has the wrong type"),
+        ('{"terms": []}', "payload has no 'basis' field"),
+        ('{"basis": "h", "terms": [7]}', "terms[0] must be a JSON object"),
+        ('{"basis": "h", "terms": [{"coeff": "1"}]}', "terms[0] has no 'index' field"),
+        ('{"basis": "h", "terms": [{"index": 1, "coeff": "1"}]}', "'index' has the wrong"),
+        ('{"basis": "h", "terms": [{"index": "1"}]}', "terms[0] has no 'coeff' field"),
+        ('{"basis": "h", "terms": [{"index": "1", "coeff": "1/0"}]}', "'coeff' is not a"),
+        ('{"basis": "h", "terms": [{"index": "1", "coeff": "x"}]}', "'coeff' is not a"),
+        ('{"basis": "h", "terms": [{"index": "1", "coeff": 0.1}]}', "'coeff' has the wrong"),
+        ('{"basis": "h", "terms": [{"index": "1", "coeff": [2]}]}', "'coeff' has the wrong"),
+    ],
+)
+def test_malformed_expr_payload_is_a_usage_error(capsys, payload, message):
+    code, out, err = run(capsys, "convert", "--expr", payload, "--to", "m")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_verify_prod_max_size_bounds_every_section(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "prod", "--max-size", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out == "prod: ok (|lam|+|mu| <= 2; slash/oracle pairs of total size <= 2)\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ncschur.combinat import (
@@ -12,6 +14,7 @@ from ncschur.combinat import (
     format_perm,
     format_set_partition,
     interval_partition,
+    jacobi_trudi_terms,
     kostka,
     meet,
     near_concat,
@@ -33,6 +36,7 @@ from ncschur.combinat import (
     tableau,
     transpose,
 )
+from ncschur.verify import skew_shapes
 
 
 def test_partition_stats_example():
@@ -149,3 +153,28 @@ def test_tableau_validation():
         tableau(SkewShape((2, 1), ()), [(1, 2), (2,)])
     t = tableau(SkewShape((2, 1), ()), [(1, 3), (2,)])
     assert t.reading_word() == (1, 3, 2)
+
+
+def leibniz_expansion(outer, inner=()):
+    """The Jacobi-Trudi determinant by brute force: every one of the ell!
+    column permutations in lexicographic order, kept when no entry is
+    negative, signed by its inversion count."""
+    ell = len(outer)
+    for eps in itertools.permutations(range(ell)):
+        entries = tuple(
+            outer[i] - (inner[eps[i]] if eps[i] < len(inner) else 0) - i + eps[i]
+            for i in range(ell)
+        )
+        if any(c < 0 for c in entries):
+            continue
+        inversions = sum(eps[i] > eps[j] for i in range(ell) for j in range(i + 1, ell))
+        yield (-1) ** inversions, entries
+
+
+def test_jacobi_trudi_terms_match_the_brute_force_leibniz_expansion():
+    for shape in skew_shapes(6, 3):
+        got = list(jacobi_trudi_terms(shape.outer, shape.inner))
+        assert got == list(leibniz_expansion(shape.outer, shape.inner)), str(shape)
+    for n in range(7):
+        for alpha in compositions(n):
+            assert list(jacobi_trudi_terms(alpha)) == list(leibniz_expansion(alpha)), alpha

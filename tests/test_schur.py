@@ -41,7 +41,8 @@ from ncschur.schur import (
     tabloid_schur,
     transposed_schur,
 )
-from ncschur.sym import SymExpr, jacobi_trudi
+from ncschur.sym import SymExpr, jacobi_trudi, littlewood_richardson
+from ncschur.verify import skew_shapes
 
 
 def sp(text):
@@ -226,6 +227,15 @@ def test_rosas_sagan_matches_tableau_oracle():
 def test_rs_lr_expansions():
     assert rs_lr_expand(skew((2, 2), (1,))) == [((2, 1), 1)]
     assert sorted(rs_lr_expand(skew((2, 1), (1,)))) == [((1, 1), 1), ((2,), 1)]
+
+
+def test_rs_lr_expand_lists_each_nonzero_lr_coefficient_in_partition_order():
+    for shape in skew_shapes(5, 3):
+        per_nu = [
+            (nu, littlewood_richardson(shape.outer, shape.inner, nu))
+            for nu in partitions(shape.size)
+        ]
+        assert rs_lr_expand(shape) == [(nu, c) for nu, c in per_nu if c], str(shape)
 
 
 def test_skew_kostka_identity():

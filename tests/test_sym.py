@@ -114,3 +114,24 @@ def test_expand_truncation():
 def test_unknown_basis_rejected():
     with pytest.raises(ValueError):
         SymExpr("q")
+
+
+def test_m_to_s_rejects_a_bad_kostka_row(monkeypatch):
+    import ncschur.sym as sym
+
+    good = sym._index_to_m
+    monkeypatch.setattr(
+        sym, "_index_to_m", lambda basis, lam: {g: 2 * k for g, k in good(basis, lam).items()}
+    )
+    with pytest.raises(ArithmeticError, match="is not 1"):
+        m_to_s(SymExpr.single("m", (2, 1)))
+    # s[1.1.1] picking up m[2.1], which comes before it in partitions(3)
+    monkeypatch.setattr(
+        sym,
+        "_index_to_m",
+        lambda basis, lam: {**good(basis, lam), (2, 1): Fraction(1)}
+        if lam == (1, 1, 1)
+        else good(basis, lam),
+    )
+    with pytest.raises(ArithmeticError, match="not triangular"):
+        m_to_s(SymExpr.single("m", (1, 1, 1)))
