@@ -11,6 +11,7 @@ are pulled in lazily to avoid an import cycle.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -305,44 +306,43 @@ def _check_degree(n: int):
         )
 
 
+def _words(pi: SetPartition, pools) -> dict:
+    """The word expansion over the blocks of pi: each pool maps a tuple of
+    values for the letters of the next block(s), in block order, to its
+    multiplicity. The words are built block after block, where distinct
+    choices give distinct words, and then each letter is moved to its
+    position."""
+    words = {(): 1}
+    for pool in pools:
+        words = {w + t: c * m for w, c in words.items() for t, m in pool.items()}
+    order = [x for b in pi for x in b]
+    if order == sorted(order):
+        return words
+    place = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+    return {place(w): c for w, c in words.items()}
+
+
 @cache
 def _expand_m(pi: SetPartition, k: int) -> dict:
-    n = sp_size(pi)
-    words: dict = {}
-    for values in itertools.permutations(range(1, k + 1), len(pi)):
-        word = [0] * n
-        for b, v in zip(pi, values):
-            for x in b:
-                word[x - 1] = v
-        words[tuple(word)] = words.get(tuple(word), 0) + 1
-    return words
+    # one pool: a value per block, constant on it, distinct across blocks
+    pool = {
+        tuple(v for b, v in zip(pi, values) for _ in b): 1
+        for values in itertools.permutations(range(1, k + 1), len(pi))
+    }
+    return _words(pi, [pool])
 
 
 @cache
 def _expand_p(pi: SetPartition, k: int) -> dict:
-    n = sp_size(pi)
-    words: dict = {}
-    for values in itertools.product(range(1, k + 1), repeat=len(pi)):
-        word = [0] * n
-        for b, v in zip(pi, values):
-            for x in b:
-                word[x - 1] = v
-        words[tuple(word)] = words.get(tuple(word), 0) + 1
-    return words
+    # one value per block
+    return _words(pi, [{(v,) * len(b): 1 for v in range(1, k + 1)} for b in pi])
 
 
 @cache
 def _expand_e(pi: SetPartition, k: int) -> dict:
-    n = sp_size(pi)
-    words: dict = {}
-    pools = [itertools.permutations(range(1, k + 1), len(b)) for b in pi]
-    for choice in itertools.product(*pools):
-        word = [0] * n
-        for b, values in zip(pi, choice):
-            for x, v in zip(b, values):
-                word[x - 1] = v
-        words[tuple(word)] = words.get(tuple(word), 0) + 1
-    return words
+    # distinct values within a block
+    pools = [{t: 1 for t in itertools.permutations(range(1, k + 1), len(b))} for b in pi]
+    return _words(pi, pools)
 
 
 @cache
@@ -351,30 +351,14 @@ def _expand_h(pi: SetPartition, k: int) -> dict:
     # increasing values per block, collapsed: within one block every tuple
     # of values occurs, and the number of (sorted tuple, permutation) pairs
     # producing it is the product of its value-multiplicity factorials
-    from math import factorial
-
-    n = sp_size(pi)
-
-    def block_words(b):
-        out = {}
-        for vals in itertools.product(range(1, k + 1), repeat=len(b)):
-            mult = 1
-            for v in set(vals):
-                mult *= factorial(vals.count(v))
-            out[vals] = mult
-        return out
-
-    words: dict = {}
-    pools = [block_words(b) for b in pi]
-    for choice in itertools.product(*pools):
-        word = [0] * n
-        mult = 1
-        for b, vals, pool in zip(pi, choice, pools):
-            mult *= pool[vals]
-            for x, v in zip(b, vals):
-                word[x - 1] = v
-        words[tuple(word)] = words.get(tuple(word), 0) + mult
-    return words
+    pools = [
+        {
+            vals: multiplicity_factorial(sorted(vals))
+            for vals in itertools.product(range(1, k + 1), repeat=len(b))
+        }
+        for b in pi
+    ]
+    return _words(pi, pools)
 
 
 _EXPANDERS = {"m": _expand_m, "p": _expand_p, "e": _expand_e, "h": _expand_h}
@@ -387,12 +371,12 @@ def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
     if expr.basis in ("s", "st"):
         return oracle_expand(to_h_or_e(expr), k)
     expander = _EXPANDERS[expr.basis]
-    out = NCPoly.zero(k)
+    terms: dict = {}
     for pi, coeff in expr.terms.items():
         _check_degree(sp_size(pi))
-        words = expander(pi, k)
-        out = out + NCPoly(k, {w: Fraction(c) for w, c in words.items()}).scale(coeff)
-    return out
+        for w, c in expander(pi, k).items():
+            terms[w] = terms.get(w, 0) + coeff * c
+    return NCPoly(k, terms)
 
 
 def naive_expand(basis: str, pi: SetPartition, k: int) -> NCPoly:

@@ -292,18 +292,8 @@ def rosas_sagan(shape: SkewShape) -> NCSymExpr:
     shapes nu of (parts factorial of nu) times the Kostka number, spread
     over all set partitions of that shape."""
     n = shape.size
-    terms: dict[SetPartition, Fraction] = {}
-    for nu in partitions(n):
-        k = kostka(shape, nu)
-        if not k:
-            continue
-        coeff = Fraction(parts_factorial(nu) * k)
-        for pi in set_partitions(n):
-            if shape_of(pi) == nu:
-                terms[pi] = terms.get(pi, Fraction(0)) + coeff
-    if n == 0:
-        terms[()] = Fraction(1)
-    return NCSymExpr("m", terms)
+    coeff = {nu: parts_factorial(nu) * kostka(shape, nu) for nu in partitions(n)}
+    return NCSymExpr("m", {pi: coeff[shape_of(pi)] for pi in set_partitions(n)})
 
 
 def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:

@@ -200,11 +200,14 @@ def test_oracle_h_degree_one():
 
 
 def test_oracle_matches_naive_expansion():
-    for n in range(1, 5):
+    # k below, at and above the degree: too few variables for some blocks,
+    # exactly enough, and one spare
+    cases = [(n, k) for n in range(5) for k in range(1, n + 2)] + [(5, 2)]
+    for n, k in cases:
         for basis in "mpeh":
             for pi in set_partitions(n):
                 expr = NCSymExpr.single(basis, pi)
-                assert oracle_expand(expr, n) == naive_expand(basis, pi, n)
+                assert oracle_expand(expr, k) == naive_expand(basis, pi, k), (basis, pi, k)
 
 
 def test_oracle_degree_guard():

@@ -2,11 +2,14 @@
 lists must still resolve the way its install() looks it up: as a module
 attribute, or in the class's own __dict__ for ``Class.method``."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+RUN = PERFBENCH / "run.py"
 
 
 def load_tracer():
@@ -38,3 +41,17 @@ def test_wrapped_tables_exist():
     modules = tracer.import_all()
     assert set(modules["ncsym"]._EXPANDERS) == {"m", "p", "e", "h"}
     assert all(callable(fn) for fn in modules["verify"].SUITES.values())
+
+
+def test_every_memo_table_is_a_benchmark_metric():
+    # run.py imports its sibling modules, so its MEMO_TABLES is read from
+    # the source rather than by executing the file
+    tree = ast.parse(RUN.read_text())
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "MEMO_TABLES" for t in node.targets)
+    ]
+    tables = load_tracer().cache_tables()
+    assert sorted(set(tables) - set(listed)) == []

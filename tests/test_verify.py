@@ -53,3 +53,18 @@ def test_iota_catches_a_wrong_ribbon_sign(monkeypatch):
     assert not report.ok
     assert report.counterexample == "ribbon alpha=1"
 
+
+def test_prod_catches_factor_words_that_collide_when_concatenated(monkeypatch):
+    # words of several lengths in one expansion: () + (1,) and (1,) + ()
+    # concatenate to the same word, so the convolution has fewer words than
+    # pairs of factor words even where the product expansion matches it as
+    # a dict
+    def collide(pi, k):
+        if sum(len(b) for b in pi) == 1:
+            return {(): 1, (1,): 1}
+        return {(): 1, (1,): 1, (1, 1): 1}
+
+    monkeypatch.setitem(ncsym._EXPANDERS, "h", collide)
+    report = suite_prod(max_size=2)
+    assert not report.ok
+    assert report.counterexample == "h: pi=1 sig=1"
