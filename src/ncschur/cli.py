@@ -50,7 +50,7 @@ def _parse_tableau_rows(text: str):
 
 def cmd_expand(args) -> int:
     expr = _index_expr(args)
-    if args.vars:
+    if args.vars is not None:
         poly = oracle_expand(expr, args.vars)
         if args.format == "json":
             print(poly.to_json())

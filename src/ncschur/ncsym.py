@@ -299,53 +299,50 @@ def coproduct(expr: NCSymExpr, i: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # expansion into noncommuting words
 
-def _check_degree(n: int):
-    if n > ORACLE_DEGREE_LIMIT:
+def _check_degree(basis: str, pi: SetPartition):
+    if sp_size(pi) > ORACLE_DEGREE_LIMIT:
         raise DegreeGuardError(
-            f"oracle expansion of degree {n} exceeds the limit {ORACLE_DEGREE_LIMIT}"
+            f"oracle expansion of {basis}[{format_set_partition(pi)}]: degree "
+            f"{sp_size(pi)} exceeds the limit {ORACLE_DEGREE_LIMIT}"
         )
 
 
-def _words(pi: SetPartition, pools) -> dict:
-    """The word expansion over the blocks of pi: each pool maps a tuple of
-    values for the letters of the next block(s), in block order, to its
-    multiplicity. The words are built block after block, where distinct
-    choices give distinct words, and then each letter is moved to its
-    position."""
-    words = {(): 1}
+def _words(pi: SetPartition, k: int, pools) -> dict:
+    """The word expansion over the blocks of pi, a word w_1...w_n over
+    x_1..x_k being the base-k integer sum over x of (w_x - 1) k^(n - x).
+    Each pool maps a tuple of digits (letter - 1) for the next block(s), in
+    block order, to its multiplicity and adds them at those letters'
+    positions. An empty pool gives no words, and n = 0 the one word 0."""
+    n = sp_size(pi)
+    weights = iter([k ** (n - x) for b in pi for x in b])
+    words = {0: 1}
     for pool in pools:
-        words = {w + t: c * m for w, c in words.items() for t, m in pool.items()}
-    order = [x for b in pi for x in b]
-    if order == sorted(order):
-        return words
-    place = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
-    return {place(w): c for w, c in words.items()}
+        place = list(itertools.islice(weights, len(next(iter(pool), ()))))
+        digits = {sum(map(operator.mul, t, place)): m for t, m in pool.items()}
+        words = {w + d: c * m for w, c in words.items() for d, m in digits.items()}
+    return words
 
 
-@cache
 def _expand_m(pi: SetPartition, k: int) -> dict:
-    # one pool: a value per block, constant on it, distinct across blocks
+    # one pool: a digit per block, constant on it, distinct across blocks
     pool = {
         tuple(v for b, v in zip(pi, values) for _ in b): 1
-        for values in itertools.permutations(range(1, k + 1), len(pi))
+        for values in itertools.permutations(range(k), len(pi))
     }
-    return _words(pi, [pool])
+    return _words(pi, k, [pool])
 
 
-@cache
 def _expand_p(pi: SetPartition, k: int) -> dict:
-    # one value per block
-    return _words(pi, [{(v,) * len(b): 1 for v in range(1, k + 1)} for b in pi])
+    # one digit per block
+    return _words(pi, k, [{(v,) * len(b): 1 for v in range(k)} for b in pi])
 
 
-@cache
 def _expand_e(pi: SetPartition, k: int) -> dict:
-    # distinct values within a block
-    pools = [{t: 1 for t in itertools.permutations(range(1, k + 1), len(b))} for b in pi]
-    return _words(pi, pools)
+    # distinct digits within a block
+    pools = [{t: 1 for t in itertools.permutations(range(k), len(b))} for b in pi]
+    return _words(pi, k, pools)
 
 
-@cache
 def _expand_h(pi: SetPartition, k: int) -> dict:
     # the double sum over block-fixing permutations composed with weakly
     # increasing values per block, collapsed: within one block every tuple
@@ -354,29 +351,35 @@ def _expand_h(pi: SetPartition, k: int) -> dict:
     pools = [
         {
             vals: multiplicity_factorial(sorted(vals))
-            for vals in itertools.product(range(1, k + 1), repeat=len(b))
+            for vals in itertools.product(range(k), repeat=len(b))
         }
         for b in pi
     ]
-    return _words(pi, pools)
+    return _words(pi, k, pools)
 
 
 _EXPANDERS = {"m": _expand_m, "p": _expand_p, "e": _expand_e, "h": _expand_h}
 
 
 def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
-    """Exact truncated expansion into words over x_1..x_k."""
+    """Exact truncated expansion into words over x_1..x_k. The expanders
+    give base-k integers (see _words), which name a word only with its
+    length: they are added up per degree and decoded only here."""
     if k < 1:
         raise ValueError("need at least one variable")
+    for pi in expr.terms:
+        _check_degree(expr.basis, pi)
     if expr.basis in ("s", "st"):
         return oracle_expand(to_h_or_e(expr), k)
-    expander = _EXPANDERS[expr.basis]
-    terms: dict = {}
+    by_degree: dict[int, dict] = {}
     for pi, coeff in expr.terms.items():
-        _check_degree(sp_size(pi))
-        for w, c in expander(pi, k).items():
-            terms[w] = terms.get(w, 0) + coeff * c
-    return NCPoly(k, terms)
+        words = by_degree.setdefault(sp_size(pi), {})
+        for w, c in _EXPANDERS[expr.basis](pi, k).items():
+            words[w] = words.get(w, 0) + coeff * c
+    return NCPoly(k, {
+        tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): c
+        for n, words in by_degree.items() for w, c in words.items()
+    })
 
 
 def naive_expand(basis: str, pi: SetPartition, k: int) -> NCPoly:
@@ -384,7 +387,7 @@ def naive_expand(basis: str, pi: SetPartition, k: int) -> NCPoly:
     definitions: every tuple in {1..k}^n is tested against the membership
     condition. The h-basis goes through its defining monomial expansion."""
     n = sp_size(pi)
-    _check_degree(n)
+    _check_degree(basis, pi)
     if basis == "h":
         out = NCPoly.zero(k)
         for sig in set_partitions(n):

@@ -316,11 +316,8 @@ def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:
 def rs_refinement_check(shape: SkewShape) -> bool:
     """Whether the sum of the permuted skew Schur functions over all box
     orderings equals the Rosas-Sagan function."""
-    n = shape.size
-    total = NCSymExpr.zero("h")
     base = source_skew_schur(shape)
-    for delta in permutations(n):
-        total = total + delta_action(delta, base)
+    total = sum((delta_action(d, base) for d in permutations(shape.size)), NCSymExpr.zero("h"))
     return to_m(total) == rosas_sagan(shape)
 
 

@@ -24,10 +24,12 @@ from .combinat import (
     set_partitions,
     shape_of,
     skew,
+    slash,
     transpose,
 )
 from .ncpoly import NCPoly
 from .ncsym import (
+    _EXPANDERS,
     NCSymExpr,
     basis_order,
     delta_action,
@@ -82,9 +84,7 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
             for lam in partitions(a):
                 for mu in partitions(total - a):
                     prod, shapes = schur.source_product(lam, mu)
-                    rhs = NCSymExpr.zero("h")
-                    for shape in shapes:
-                        rhs = rhs + schur.source_skew_schur(shape)
+                    rhs = sum(map(schur.source_skew_schur, shapes), NCSymExpr.zero("h"))
                     if prod != rhs:
                         return SuiteReport(
                             "prod",
@@ -92,25 +92,28 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                             detail,
                             f"lam={format_partition(lam)} mu={format_partition(mu)}",
                         )
-    from .combinat import slash
-    from .ncsym import _EXPANDERS
-
-    for total in range(2, slash_size + 1):
-        for a in range(1, total):
-            n = total
+    bases = ("h", "e", "p")
+    for n in range(2, slash_size + 1):
+        factors = {
+            pi: {b: _EXPANDERS[b](pi, n) for b in bases}
+            for a in range(1, n)
+            for pi in set_partitions(a)
+        }
+        for a in range(1, n):
+            shift = n ** (n - a)
             for pi in set_partitions(a):
-                for sig in set_partitions(total - a):
-                    for basis in ("h", "e", "p"):
-                        expander = _EXPANDERS[basis]
-                        # the slash-product rule at word level: the
-                        # expansion of the product index must equal the
-                        # concatenation convolution of the factors; the
-                        # count catches factor words that collide when
-                        # concatenated, which building a dict would merge
-                        lhs = expander(slash(pi, sig), n)
-                        left, right = expander(pi, n), expander(sig, n)
+                for sig in set_partitions(n - a):
+                    for basis in bases:
+                        # the slash-product rule at word level: the expansion
+                        # of the product index must equal the concatenation
+                        # convolution of the factors (base-n words of lengths
+                        # a and n - a concatenate to w1 * n**(n - a) + w2); the
+                        # count catches factor words that collide, which
+                        # building a dict would merge
+                        lhs = _EXPANDERS[basis](slash(pi, sig), n)
+                        left, right = factors[pi][basis], factors[sig][basis]
                         rhs = {
-                            w1 + w2: c1 * c2
+                            w1 * shift + w2: c1 * c2
                             for w1, c1 in left.items()
                             for w2, c2 in right.items()
                         }
@@ -128,9 +131,7 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
             for pi in set_partitions(a):
                 for sig in set_partitions(total - a):
                     prod, pairs = schur.set_partition_schur_product(pi, sig)
-                    rhs = NCSymExpr.zero("h")
-                    for delta, shape in pairs:
-                        rhs = rhs + schur.skew_schur_nc(delta, shape)
+                    rhs = sum((schur.skew_schur_nc(d, s) for d, s in pairs), NCSymExpr.zero("h"))
                     if prod != rhs:
                         return SuiteReport(
                             "prod",
@@ -395,19 +396,17 @@ def _check_hmon_bridge(shape: SkewShape, k: int) -> bool:
             shape.outer[i] - shape.inner_at(eps[i] - 1) - (i + 1) + eps[i]
             for i in range(ell)
         ]
-        lhs = NCPoly.zero(k)
+        images = NCSymExpr.zero("h")
         if all(c >= 0 for c in entries):
             pi = interval_partition(tuple(c for c in entries if c))
             base = NCSymExpr.single("h", pi, Fraction(1, parts_factorial(entries)))
-            for delta in permutations(n):
-                lhs = lhs + oracle_expand(delta_action(delta, base), k)
+            images = sum((delta_action(delta, base) for delta in permutations(n)), images)
         rhs_terms: dict = {}
         for P in lgv.enumerate_path_tuples(shape, eps, k):
             for delta in permutations(n):
                 word = lgv.monomial(delta, P)
                 rhs_terms[word] = rhs_terms.get(word, 0) + 1
-        rhs = NCPoly(k, {w: Fraction(c) for w, c in rhs_terms.items()})
-        if lhs != rhs:
+        if oracle_expand(images, k) != NCPoly(k, rhs_terms):
             return False
     return True
 

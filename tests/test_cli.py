@@ -61,6 +61,14 @@ def test_expand_to_words(capsys):
     assert lines == ["1\tx1x1", "1\tx2x2"]
 
 
+def test_expand_to_words_needs_a_variable(capsys):
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, "expand", "--basis", "m", "--index", "12", "--vars", k)
+        assert code == 2
+        assert out == ""
+        assert "need at least one variable" in err
+
+
 def test_convert_round_trip(capsys):
     code, out, _ = run(capsys, "convert", "--basis", "h", "--index", "13/2", "--to", "s")
     assert code == 0

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from ncschur import ncsym
 from ncschur.combinat import (
     interval_partition,
     parse_set_partition,
@@ -210,9 +212,32 @@ def test_oracle_matches_naive_expansion():
                 assert oracle_expand(expr, k) == naive_expand(basis, pi, k), (basis, pi, k)
 
 
+def test_expanders_key_words_by_base_k_integers():
+    # the word w_1...w_n is sum over x of (w_x - 1) k^(n - x), which is its
+    # position in the lexicographic order of {1..k}^n
+    for n in range(5):
+        for k in range(1, 5):
+            words = list(itertools.product(range(1, k + 1), repeat=n))
+            for basis in "mpeh":
+                for pi in set_partitions(n):
+                    expansion = ncsym._EXPANDERS[basis](pi, k)
+                    assert all(type(w) is int and 0 <= w < k**n for w in expansion)
+                    decoded = NCPoly(k, {words[w]: c for w, c in expansion.items()})
+                    assert decoded == naive_expand(basis, pi, k), (basis, pi, k)
+                    if n == 0:
+                        assert expansion == {0: 1}
+
+
 def test_oracle_degree_guard():
-    with pytest.raises(DegreeGuardError):
-        oracle_expand(NCSymExpr.single("h", interval_partition((9,))), 2)
+    nine = interval_partition((9,))
+    with pytest.raises(DegreeGuardError, match=r"^oracle expansion of h\[123456789\]: "
+                       r"degree 9 exceeds the limit 8$"):
+        oracle_expand(NCSymExpr.single("h", nine), 2)
+    # checked before the Schur-type bases are expanded into h or e
+    with pytest.raises(DegreeGuardError, match=r"of st\[123456789\]:"):
+        oracle_expand(NCSymExpr.single("st", nine), 2)
+    with pytest.raises(DegreeGuardError, match=r"of m\[123456789\]:"):
+        naive_expand("m", nine, 2)
 
 
 def test_oracle_injective_at_degree_cutoff():

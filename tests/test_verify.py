@@ -55,15 +55,19 @@ def test_iota_catches_a_wrong_ribbon_sign(monkeypatch):
 
 
 def test_prod_catches_factor_words_that_collide_when_concatenated(monkeypatch):
-    # words of several lengths in one expansion: () + (1,) and (1,) + ()
-    # concatenate to the same word, so the convolution has fewer words than
-    # pairs of factor words even where the product expansion matches it as
-    # a dict
+    # words are base-k integers, and at k = 2 a word of length 1 followed by
+    # another is w1 * 2 + w2; the out-of-range digit 2 makes (0, 2) and
+    # (1, 0) concatenate to the same word, so the convolution has fewer
+    # words than pairs of factor words even where the product expansion
+    # matches it as a dict
     def collide(pi, k):
         if sum(len(b) for b in pi) == 1:
-            return {(): 1, (1,): 1}
-        return {(): 1, (1,): 1, (1, 1): 1}
+            return {0: 1, 1: 1, 2: 1}
+        return {w: 1 for w in range(7)}
 
+    factor, product = collide(((1,),), 2), collide(((1,), (2,)), 2)
+    convolution = {w1 * 2 + w2: 1 for w1 in factor for w2 in factor}
+    assert convolution == product and len(convolution) < len(factor) ** 2
     monkeypatch.setitem(ncsym._EXPANDERS, "h", collide)
     report = suite_prod(max_size=2)
     assert not report.ok
