@@ -11,6 +11,7 @@ are pulled in lazily to avoid an import cycle.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import cache
@@ -26,7 +27,6 @@ from .combinat import (
     parse_set_partition,
     parts_factorial,
     permute_set_partition,
-    refines,
     set_partitions,
     shape_of,
     slash,
@@ -38,8 +38,9 @@ from .expr_format import LinearCombination
 from .ncpoly import NCPoly
 from .sym import SymExpr
 
-# expansion into words costs k^n; anything past this is a mistake, not a job
+# expansion into words costs k^n; anything past these is a mistake, not a job
 ORACLE_DEGREE_LIMIT = 8
+ORACLE_WORD_LIMIT = 10**6
 
 
 class DegreeGuardError(ValueError):
@@ -105,40 +106,78 @@ class NCSymExpr(LinearCombination):
 # ---------------------------------------------------------------------------
 # basis change
 
-def _h_to_m_index(pi: SetPartition) -> dict[SetPartition, Fraction]:
-    return {
-        sig: Fraction(parts_factorial(shape_of(meet(sig, pi))))
-        for sig in set_partitions(sp_size(pi))
-    }
+def block_weights(basis: str, pi: SetPartition) -> list[int]:
+    """The weight of each subset C of {1..n} (the bitmask with bit x - 1
+    for x) as a block of sigma in the m-expansion of the p/e/h element on
+    pi: for h the product over the blocks B of pi of |C & B|!, for p 1 if
+    C is a union of blocks of pi, for e 1 if C meets each block at most
+    once, else 0. The product over the blocks of sigma is then
+    lambda(meet(sigma, pi))!, [pi <= sigma] or [meet(sigma, pi) is the
+    bottom] (Rosas-Sagan). The table doubles once per element x: C + x
+    extends C, with B the block of x."""
+    owner = {x: sum(1 << (y - 1) for y in b) for b in pi for x in b}
+    w = [1]
+    for x in range(1, sp_size(pi) + 1):
+        b = owner[x]
+        if basis == "h":
+            w += [v * ((c & b).bit_count() + 1) for c, v in enumerate(w)]
+        elif basis == "e":
+            w += [0 if c & b else v for c, v in enumerate(w)]
+        else:
+            b ^= 1 << (x - 1)
+            w += [w[c ^ b] if c & b == b else 0 for c in range(len(w))]
+    return w
 
 
-def _p_to_m_index(pi: SetPartition) -> dict[SetPartition, Fraction]:
-    return {
-        sig: Fraction(1)
-        for sig in set_partitions(sp_size(pi))
-        if refines(pi, sig)
-    }
+def _block_products(n: int, columns, vec) -> dict[SetPartition, int]:
+    """sigma -> the sum over i of vec[i] times the product over the blocks
+    C of sigma of columns[C][i], for every set partition sigma of {1..n}.
+    sigma is built block by block, each block holding the least element
+    not yet placed, so its prefixes share their partial products; a prefix
+    whose products all vanish is cut off."""
+    names = [tuple(x + 1 for x in range(n) if c >> x & 1) for c in range(1 << n)]
+    out = {}
 
+    def walk(rest, prefix, vec):
+        if not rest:
+            out[prefix] = sum(vec)
+            return
+        low = rest & -rest
+        others = rest ^ low
+        sub = others + 1
+        while sub:  # every subset of others, from others itself down to 0
+            sub = (sub - 1) & others
+            part = list(map(operator.mul, vec, columns[low | sub]))
+            if any(part):
+                walk(others ^ sub, prefix + (names[low | sub],), part)
 
-def _e_to_m_index(pi: SetPartition) -> dict[SetPartition, Fraction]:
-    n = sp_size(pi)
-    bottom = tuple((i,) for i in range(1, n + 1))
-    return {
-        sig: Fraction(1) for sig in set_partitions(n) if meet(sig, pi) == bottom
-    }
-
-
-_INDEX_TO_M = {"h": _h_to_m_index, "p": _p_to_m_index, "e": _e_to_m_index}
+    walk((1 << n) - 1, (), vec)
+    return out
 
 
 def to_m(expr: NCSymExpr) -> NCSymExpr:
-    """Exact monomial-basis expansion."""
+    """Exact monomial-basis expansion. The p/e/h terms of each degree are
+    done together in integers: the coefficients are scaled by the lcm of
+    their denominators, and the coefficient of m_sigma is the sum over pi
+    of a_pi times the product of block_weights(pi) over the blocks of
+    sigma."""
     if expr.basis == "m":
         return expr
     if expr.basis in ("s", "st"):
         return to_m(to_h_or_e(expr))
-    fn = _INDEX_TO_M[expr.basis]
-    return expr.map_terms(lambda pi: NCSymExpr("m", fn(pi)))
+    by_degree: dict[int, list] = {}
+    for pi, c in expr.terms.items():
+        by_degree.setdefault(sp_size(pi), []).append((pi, c))
+    out = {}
+    for n, items in by_degree.items():
+        den = math.lcm(*(c.denominator for _, c in items))
+        vec = [c.numerator * (den // c.denominator) for _, c in items]
+        columns = list(zip(*(block_weights(expr.basis, pi) for pi, _ in items)))
+        sums = _block_products(n, columns, vec)
+        for sig in set_partitions(n):
+            if sums.get(sig):
+                out[sig] = Fraction(sums[sig], den)
+    return NCSymExpr("m", out)
 
 
 def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
@@ -299,11 +338,13 @@ def coproduct(expr: NCSymExpr, i: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # expansion into noncommuting words
 
-def _check_degree(basis: str, pi: SetPartition):
-    if sp_size(pi) > ORACLE_DEGREE_LIMIT:
+def _check_size(basis: str, pi: SetPartition, k: int):
+    n, name = sp_size(pi), f"oracle expansion of {basis}[{format_set_partition(pi)}]"
+    if n > ORACLE_DEGREE_LIMIT:
+        raise DegreeGuardError(f"{name}: degree {n} exceeds the limit {ORACLE_DEGREE_LIMIT}")
+    if k**n > ORACLE_WORD_LIMIT:
         raise DegreeGuardError(
-            f"oracle expansion of {basis}[{format_set_partition(pi)}]: degree "
-            f"{sp_size(pi)} exceeds the limit {ORACLE_DEGREE_LIMIT}"
+            f"{name} over {k} variables: {k**n} words exceed the limit {ORACLE_WORD_LIMIT}"
         )
 
 
@@ -368,7 +409,7 @@ def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
     if k < 1:
         raise ValueError("need at least one variable")
     for pi in expr.terms:
-        _check_degree(expr.basis, pi)
+        _check_size(expr.basis, pi, k)
     if expr.basis in ("s", "st"):
         return oracle_expand(to_h_or_e(expr), k)
     by_degree: dict[int, dict] = {}
@@ -387,7 +428,7 @@ def naive_expand(basis: str, pi: SetPartition, k: int) -> NCPoly:
     definitions: every tuple in {1..k}^n is tested against the membership
     condition. The h-basis goes through its defining monomial expansion."""
     n = sp_size(pi)
-    _check_degree(basis, pi)
+    _check_size(basis, pi, k)
     if basis == "h":
         out = NCPoly.zero(k)
         for sig in set_partitions(n):

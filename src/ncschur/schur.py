@@ -26,6 +26,7 @@ from .combinat import (
     concat,
     contains,
     delta_pi,
+    format_set_partition,
     interval_partition,
     jacobi_trudi_terms,
     kostka,
@@ -147,16 +148,16 @@ def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
             column = standard_schur(pi).terms
             lead = parts_factorial(shape_of(pi))
             if column.get(pi, 0) * lead != 1:
-                raise ArithmeticError(
-                    f"unexpected leading coefficient at degree {n}, index {pi}"
-                )
+                raise ArithmeticError(f"unexpected leading coefficient at degree {n}, "
+                                      f"index {format_set_partition(pi)}")
             out[pi] = c * lead
             for sig, a in column.items():
                 if sig == pi:
                     continue
                 if sig in passed:
                     raise ArithmeticError(
-                        f"Schur transition matrix not triangular at degree {n}"
+                        f"Schur transition matrix not triangular at degree {n}: row "
+                        f"{format_set_partition(sig)}, column {format_set_partition(pi)}"
                     )
                 rest[sig] = rest.get(sig, 0) - out[pi] * a
     return NCSymExpr("s", out)
@@ -363,13 +364,12 @@ def rs_coproduct_check(lam: Partition, i: int) -> bool:
     return lhs == rhs
 
 
-def skew_kostka_check(shape: SkewShape) -> bool:
-    """Whether every skew Kostka number splits as the Littlewood-Richardson
-    weighted sum of straight Kostka numbers."""
-    coeffs = lr_coefficients(shape)
+def skew_kostka_check(shape: SkewShape, pairs) -> bool:
+    """Whether every skew Kostka number splits as the weighted sum of
+    straight Kostka numbers over the (shape, coefficient) pairs of the
+    Littlewood-Richardson expansion, as rs_lr_expand lists them."""
     return all(
-        kostka(shape, gam)
-        == sum(c * kostka(SkewShape(nu, ()), gam) for nu, c in coeffs.items())
+        kostka(shape, gam) == sum(c * kostka(SkewShape(nu, ()), gam) for nu, c in pairs)
         for gam in partitions(shape.size)
     )
 

@@ -196,12 +196,14 @@ def m_to_s(expr: SymExpr) -> SymExpr:
             if not c:
                 continue
             row = _index_to_m("s", lam)
+            name = format_partition(lam)
             if row.get(lam) != 1:
-                raise ArithmeticError(f"Kostka number K[{lam}, {lam}] is not 1")
+                raise ArithmeticError(f"Kostka number K[{name}, {name}] is not 1")
             out[lam] = c
             for gam, k in row.items():
                 if gam > lam:  # a row already passed
-                    raise ArithmeticError(f"Kostka matrix not triangular at degree {n}")
+                    raise ArithmeticError(f"Kostka matrix not triangular at degree {n}: "
+                                          f"K[{name}, {format_partition(gam)}] is not 0")
                 if gam != lam:
                     rest[gam] = rest.get(gam, 0) - c * k
     return SymExpr("s", out)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -79,6 +80,7 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
     detail = (
         f"|lam|+|mu| <= {max_size}; slash/oracle pairs of total size <= {slash_size}"
     )
+    fail = partial(SuiteReport, "prod", False, detail)
     for total in range(max_size + 1):
         for a in range(total + 1):
             for lam in partitions(a):
@@ -86,12 +88,7 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                     prod, shapes = schur.source_product(lam, mu)
                     rhs = sum(map(schur.source_skew_schur, shapes), NCSymExpr.zero("h"))
                     if prod != rhs:
-                        return SuiteReport(
-                            "prod",
-                            False,
-                            detail,
-                            f"lam={format_partition(lam)} mu={format_partition(mu)}",
-                        )
+                        return fail(f"lam={format_partition(lam)} mu={format_partition(mu)}")
     bases = ("h", "e", "p")
     for n in range(2, slash_size + 1):
         factors = {
@@ -118,13 +115,8 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                             for w2, c2 in right.items()
                         }
                         if len(rhs) != len(left) * len(right) or lhs != rhs:
-                            return SuiteReport(
-                                "prod",
-                                False,
-                                detail,
-                                f"{basis}: pi={format_set_partition(pi)} "
-                                f"sig={format_set_partition(sig)}",
-                            )
+                            return fail(f"{basis}: pi={format_set_partition(pi)} "
+                                        f"sig={format_set_partition(sig)}")
     # the structured two-term rules with permutations and on basis elements
     for total in range(2, min(max_size, 5) + 1):
         for a in range(1, total):
@@ -133,13 +125,8 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                     prod, pairs = schur.set_partition_schur_product(pi, sig)
                     rhs = sum((schur.skew_schur_nc(d, s) for d, s in pairs), NCSymExpr.zero("h"))
                     if prod != rhs:
-                        return SuiteReport(
-                            "prod",
-                            False,
-                            detail,
-                            f"s: pi={format_set_partition(pi)} "
-                            f"sig={format_set_partition(sig)}",
-                        )
+                        return fail(f"s: pi={format_set_partition(pi)} "
+                                    f"sig={format_set_partition(sig)}")
     return SuiteReport("prod", True, detail)
 
 
@@ -151,39 +138,23 @@ def suite_ncschur_triangular(max_n: int = 5) -> SuiteReport:
     from . import ratlin
 
     detail = f"degrees n <= {max_n}"
+    fail = partial(SuiteReport, "ncschur-triangular", False, detail)
     for n in range(1, max_n + 1):
         order = basis_order(n)
         mat = schur.normalized_schur_transition(n)
         for j in range(len(order)):
             if mat[j][j] != 1:
-                return SuiteReport(
-                    "ncschur-triangular",
-                    False,
-                    detail,
-                    f"n={n}: diagonal entry at {format_set_partition(order[j])}",
-                )
+                return fail(f"n={n}: diagonal entry at {format_set_partition(order[j])}")
             for i in range(j + 1, len(order)):
                 if mat[i][j]:
-                    return SuiteReport(
-                        "ncschur-triangular",
-                        False,
-                        detail,
-                        f"n={n}: entry below diagonal at column "
-                        f"{format_set_partition(order[j])}",
-                    )
+                    return fail(f"n={n}: entry below diagonal at column "
+                                f"{format_set_partition(order[j])}")
         if ratlin.determinant(mat) != 1:
-            return SuiteReport(
-                "ncschur-triangular", False, detail, f"n={n}: determinant != 1"
-            )
+            return fail(f"n={n}: determinant != 1")
         for pi in order:
             expected = jacobi_trudi(SkewShape(shape_of(pi), ()), "h")
             if rho(schur.standard_schur(pi)) != expected:
-                return SuiteReport(
-                    "ncschur-triangular",
-                    False,
-                    detail,
-                    f"commutative image wrong at {format_set_partition(pi)}",
-                )
+                return fail(f"commutative image wrong at {format_set_partition(pi)}")
     return SuiteReport("ncschur-triangular", True, detail)
 
 
@@ -192,23 +163,17 @@ def suite_transpose(max_n: int = 5) -> SuiteReport:
     under the h/e involution, and their commutative images are the Schur
     functions of the transposed shapes."""
     detail = f"degrees n <= {max_n}"
+    fail = partial(SuiteReport, "transpose", False, detail)
     for n in range(1, max_n + 1):
         for pi in set_partitions(n):
             st = schur.transposed_schur(pi)
             if to_m(omega(schur.standard_schur(pi))) != to_m(st):
-                return SuiteReport(
-                    "transpose", False, detail, format_set_partition(pi)
-                )
+                return fail(format_set_partition(pi))
             expected = jacobi_trudi(
                 SkewShape(transpose(shape_of(pi)), ()), "h"
             )
             if rho(st) != expected:
-                return SuiteReport(
-                    "transpose",
-                    False,
-                    detail,
-                    f"commutative image wrong at {format_set_partition(pi)}",
-                )
+                return fail(f"commutative image wrong at {format_set_partition(pi)}")
     return SuiteReport("transpose", True, detail)
 
 
@@ -270,12 +235,14 @@ def suite_rslr(max_size: int = 6, inner_cap: int = 3) -> SuiteReport:
     same way."""
     detail = f"skew sizes <= {max_size}, inner shapes of size <= {inner_cap}"
     for shape in skew_shapes(max_size, inner_cap):
+        # one LR expansion per shape: the Kostka split checks the same pairs
+        pairs = schur.rs_lr_expand(shape)
         rhs = NCSymExpr.zero("m")
-        for nu, c in schur.rs_lr_expand(shape):
+        for nu, c in pairs:
             rhs = rhs + schur.rosas_sagan(SkewShape(nu, ())).scale(c)
         if rhs != schur.rosas_sagan(shape):
             return SuiteReport("rslr", False, detail, str(shape))
-        if not schur.skew_kostka_check(shape):
+        if not schur.skew_kostka_check(shape, pairs):
             return SuiteReport("rslr", False, detail, f"Kostka split at {shape}")
     return SuiteReport("rslr", True, detail)
 
@@ -303,23 +270,18 @@ def suite_iota(max_n: int = 6) -> SuiteReport:
     partitions to straight source functions; following it with the
     commutative projection recovers the forgetful map."""
     detail = f"compositions and shapes of size <= {max_n}"
+    fail = partial(SuiteReport, "iota", False, detail)
     for n in range(1, max_n + 1):
         for alpha in compositions(n):
             if nsym.iota(NSymExpr.single("R", alpha)) != schur.ribbon_source(alpha):
-                return SuiteReport(
-                    "iota", False, detail, f"ribbon alpha={format_partition(alpha)}"
-                )
+                return fail(f"ribbon alpha={format_partition(alpha)}")
             h = NSymExpr.single("H", alpha)
             if rho(nsym.iota(h)) != nsym.chi(h):
-                return SuiteReport(
-                    "iota", False, detail, f"H alpha={format_partition(alpha)}"
-                )
+                return fail(f"H alpha={format_partition(alpha)}")
         for lam in partitions(n):
             immaculate = nsym.iota(NSymExpr.single("S", lam))
             if immaculate != schur.source_skew_schur(SkewShape(lam, ())):
-                return SuiteReport(
-                    "iota", False, detail, f"immaculate lam={format_partition(lam)}"
-                )
+                return fail(f"immaculate lam={format_partition(lam)}")
     return SuiteReport("iota", True, detail)
 
 
@@ -332,6 +294,7 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
         f"skew sizes <= {max_size}, height cap <= {height_cap}, "
         f"inner shapes of size <= {inner_cap}"
     )
+    fail = partial(SuiteReport, "lgv", False, detail)
     for shape in skew_shapes(max_size, inner_cap):
         n = shape.size
         deltas = list(permutations(n))
@@ -341,26 +304,18 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
                 P2, xi = lgv.lgv_swap(P)
                 P3, xi2 = lgv.lgv_swap(P2)
                 if P3 != P:
-                    return SuiteReport(
-                        "lgv", False, detail, f"not an involution: {shape} k={k}\n{P.dump()}"
-                    )
+                    return fail(f"not an involution: {shape} k={k}\n{P.dump()}")
                 fixed = P2 == P
                 if fixed != (
                     P.eps == tuple(range(1, len(P.eps) + 1))
                     and not lgv.is_self_intersecting(P)
                 ):
-                    return SuiteReport(
-                        "lgv", False, detail, f"fixed-point shape wrong: {shape} k={k}\n{P.dump()}"
-                    )
+                    return fail(f"fixed-point shape wrong: {shape} k={k}\n{P.dump()}")
                 if not fixed and lgv.sign(P2) != -lgv.sign(P):
-                    return SuiteReport(
-                        "lgv", False, detail, f"sign not reversed: {shape} k={k}\n{P.dump()}"
-                    )
+                    return fail(f"sign not reversed: {shape} k={k}\n{P.dump()}")
                 hp, hp2 = P.label_heights(), P2.label_heights()
                 if any(hp[i] != hp2[xi[i] - 1] for i in range(n)):
-                    return SuiteReport(
-                        "lgv", False, detail, f"labels change height: {shape} k={k}\n{P.dump()}"
-                    )
+                    return fail(f"labels change height: {shape} k={k}\n{P.dump()}")
                 for delta in deltas:
                     word = lgv.monomial(delta, P)
                     signed[word] = signed.get(word, 0) + lgv.sign(P)
@@ -375,13 +330,9 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
                     collapsed[word] = collapsed.get(word, 0) + 1
             signed = {w: c for w, c in signed.items() if c}
             if signed != collapsed:
-                return SuiteReport(
-                    "lgv", False, detail, f"signed sum does not collapse: {shape} k={k}"
-                )
+                return fail(f"signed sum does not collapse: {shape} k={k}")
             if not _check_hmon_bridge(shape, k):
-                return SuiteReport(
-                    "lgv", False, detail, f"word bridge fails: {shape} k={k}"
-                )
+                return fail(f"word bridge fails: {shape} k={k}")
         lgv.fixed_points_to_ssyt(shape, height_cap)
     return SuiteReport("lgv", True, detail)
 

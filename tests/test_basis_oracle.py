@@ -2,7 +2,7 @@
 rational route: the expansion matrix of each basis, inverted by Gaussian
 elimination and applied to the coordinate vector in basis order. The
 commutative m-to-s change is checked the same way against the Kostka
-matrix."""
+matrix, and to_m against the lattice rules row by row."""
 
 import random
 from fractions import Fraction
@@ -12,9 +12,10 @@ import pytest
 
 from ncschur import ratlin
 from ncschur.combinat import SkewShape, kostka, partitions, set_partitions, sp_size
-from ncschur.ncsym import _INDEX_TO_M, NCSymExpr, basis_order, from_m, to_m
+from ncschur.ncsym import NCSymExpr, basis_order, from_m, to_m
 from ncschur.schur import h_to_schur, schur_transition
 from ncschur.sym import SymExpr, m_to_s
+from lattice_rows import INDEX_TO_M, rows_to_m
 
 MAX_ORACLE_DEGREE = 5
 
@@ -25,7 +26,7 @@ def dense_from_m_matrix(target, n):
     pos = {pi: i for i, pi in enumerate(order)}
     mat = [[Fraction(0)] * len(order) for _ in order]
     for j, pi in enumerate(order):
-        for sig, c in _INDEX_TO_M[target](pi).items():
+        for sig, c in INDEX_TO_M[target](pi).items():
             mat[pos[sig]][j] = c
     return ratlin.inverse(mat)
 
@@ -100,6 +101,28 @@ def test_h_to_schur_matches_dense_inverse():
             assert_same(h_to_schur(expr), dense_h_to_schur(expr))
     for expr in mixed_expressions("h", 6, seed=12):
         assert_same(h_to_schur(expr), dense_h_to_schur(expr))
+
+
+@pytest.mark.parametrize("basis", "peh")
+def test_to_m_matches_lattice_rows(basis):
+    assert to_m(NCSymExpr.zero(basis)).basis == "m"
+    for n in range(7):
+        for pi in set_partitions(n):
+            got = to_m(NCSymExpr.single(basis, pi))
+            assert got.basis == "m"
+            assert got.terms == rows_to_m(NCSymExpr.single(basis, pi)), (basis, pi)
+
+
+@pytest.mark.parametrize("basis", "peh")
+def test_to_m_matches_lattice_rows_on_mixed_degrees(basis):
+    rng = random.Random(14)
+    for _ in range(20):
+        terms = {(): Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))}
+        for n in range(1, 7):
+            for pi in rng.sample(set_partitions(n), min(3, len(set_partitions(n)))):
+                terms[pi] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        expr = NCSymExpr(basis, terms)
+        assert to_m(expr).terms == rows_to_m(expr)
 
 
 @pytest.mark.parametrize("target", "peh")

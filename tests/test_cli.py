@@ -69,6 +69,14 @@ def test_expand_to_words_needs_a_variable(capsys):
         assert "need at least one variable" in err
 
 
+def test_expand_to_words_refuses_too_many_words(capsys):
+    code, out, err = run(capsys, "expand", "--basis", "h", "--index", "1/2/3/4/5", "--vars", "30")
+    assert code == 2
+    assert out == ""
+    assert err == ("oracle expansion of h[1/2/3/4/5] over 30 variables: "
+                   "24300000 words exceed the limit 1000000\n")
+
+
 def test_convert_round_trip(capsys):
     code, out, _ = run(capsys, "convert", "--basis", "h", "--index", "13/2", "--to", "s")
     assert code == 0

@@ -240,6 +240,16 @@ def test_oracle_degree_guard():
         naive_expand("m", nine, 2)
 
 
+def test_oracle_word_guard():
+    with pytest.raises(DegreeGuardError, match=r"^oracle expansion of h\[1/2/3/4/5\] over 30 "
+                       r"variables: 24300000 words exceed the limit 1000000$"):
+        oracle_expand(NCSymExpr.single("h", interval_partition((1,) * 5)), 30)
+    with pytest.raises(DegreeGuardError, match=r"of s\[12345678\] over 6 variables:"):
+        oracle_expand(NCSymExpr.single("s", interval_partition((8,))), 6)
+    with pytest.raises(DegreeGuardError, match=r"of p\[1234567\] over 8 variables:"):
+        naive_expand("p", interval_partition((7,)), 8)
+
+
 def test_oracle_injective_at_degree_cutoff():
     n = 3
     seen = {}
