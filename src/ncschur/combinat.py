@@ -10,7 +10,8 @@ Conventions used throughout the package:
 * a permutation is its one-line notation, a tuple of the images of 1..n.
 
 Text encodings (used by the CLI and JSON dumps): partition ``"3.2.2.1"``,
-composition ``"2.3.1.2"``, set partition ``"134/25/6/78"``, permutation
+composition ``"2.3.1.2"``, set partition ``"134/25/6/78"`` (with commas
+inside the blocks, ``"1,10/2/3/4/5/6/7/8/9"``, when n >= 10), permutation
 ``"1,6,9,3,7,8,4,5,2"`` (plain digit string allowed when n <= 9), skew
 shape ``"3.2.2.1/2.1"``.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -306,7 +307,7 @@ def refines(pi: SetPartition, sigma: SetPartition) -> bool:
     return all(len({where[x] for x in b}) == 1 for b in pi)
 
 
-def _mobius_top(k: int) -> int:
+def mobius_top(k: int) -> int:
     """mu(bottom, top) in the lattice of set partitions of a k-element set."""
     return (-1) ** (k - 1) * factorial(k - 1)
 
@@ -314,10 +315,7 @@ def _mobius_top(k: int) -> int:
 def bottom_mobius(sigma: SetPartition) -> int:
     """mu(bottom, sigma): the product over the blocks B of sigma of
     (-1)^(|B|-1) (|B|-1)!."""
-    out = 1
-    for b in sigma:
-        out *= _mobius_top(len(b))
-    return out
+    return prod(mobius_top(len(b)) for b in sigma)
 
 
 def upper_interval(pi: SetPartition) -> Iterator[tuple[SetPartition, int]]:
@@ -330,26 +328,6 @@ def upper_interval(pi: SetPartition) -> Iterator[tuple[SetPartition, int]]:
         # their least elements: sigma comes out canonical
         sigma = tuple(tuple(sorted(x for i in c for x in pi[i - 1])) for c in rho)
         yield sigma, bottom_mobius(rho)
-
-
-def lower_interval(sigma: SetPartition) -> Iterator[tuple[SetPartition, int]]:
-    """Every tau <= sigma, with the Moebius value mu(tau, sigma). The
-    interval is the product over the blocks B of sigma of the lattices of
-    set partitions of B, and mu(tau, sigma) is the product over B of
-    (-1)^(k-1) (k-1)!, k the number of blocks of tau inside B."""
-    pieces = [
-        [
-            (tuple(tuple(b[i - 1] for i in c) for c in rho), _mobius_top(len(rho)))
-            for rho in set_partitions(len(b))
-        ]
-        for b in sigma
-    ]
-    for choice in itertools.product(*pieces):
-        mu = 1
-        for _, m in choice:
-            mu *= m
-        # the blocks are disjoint, so tuple order is least-element order
-        yield tuple(sorted(c for part, _ in choice for c in part)), mu
 
 
 def permute_set_partition(delta: Perm, pi: SetPartition) -> SetPartition:
@@ -551,14 +529,29 @@ def _ssyt(shape: SkewShape, max_entry: int) -> tuple[SemistandardTableau, ...]:
 
 
 def kostka(shape: SkewShape, nu: Partition) -> int:
-    """Number of semistandard tableaux of the given shape and content nu."""
+    """Number of semistandard tableaux of the given shape and content nu, by
+    the branching rule (Macdonald I.5): the entries equal to the last letter
+    fill a horizontal strip lam/kappa, so K(lam/mu, nu) is the sum of
+    K(kappa/mu, nu less its last part) over the kappa containing mu with
+    lam/kappa a horizontal strip of that size. The counts are kept for the
+    call by outer shape, whose size says how many parts of nu are left."""
     nu = check_partition(nu)
     if shape.size != sum(nu):
         return 0
-    k = len(nu)
-    if k == 0:
-        return 1 if shape.size == 0 else 0
-    return sum(1 for t in ssyt(shape, k) if t.weight() == nu)
+    inner, memo = [shape.inner_at(i) for i in range(shape.rows)], {}
+
+    def count(lam: Partition, k: int) -> int:
+        if k and lam not in memo:
+            # kappa_i runs between lam_(i+1) and lam_i (a horizontal strip), above inner_i
+            rows = [range(max(low, nxt), top + 1)
+                    for top, nxt, low in zip(lam, lam[1:] + (0,), inner)]
+            size = sum(lam) - nu[k - 1]
+            memo[lam] = sum(
+                count(kappa, k - 1) for kappa in itertools.product(*rows) if sum(kappa) == size
+            )
+        return memo[lam] if k else 1
+
+    return count(shape.outer, len(nu))
 
 
 def syt_count(lam: Partition) -> int:
@@ -581,7 +574,8 @@ def format_composition(alpha: Composition) -> str:
 def format_set_partition(pi: SetPartition) -> str:
     if not pi:
         return "-"
-    return "/".join("".join(map(str, b)) for b in pi)
+    sep = "" if sp_size(pi) <= 9 else ","
+    return "/".join(sep.join(map(str, b)) for b in pi)
 
 
 def format_perm(delta: Perm) -> str:
@@ -632,26 +626,36 @@ def parse_skew(text: str) -> SkewShape:
         raise ParseError(text, 0, str(exc)) from None
 
 
-def parse_digit_blocks(text: str) -> list[tuple[int, ...]]:
-    """Slash-separated blocks of single digits, such as ``"134/25"``."""
+def parse_digit_blocks(text: str, sep: str = "") -> list[tuple[int, ...]]:
+    """Slash-separated blocks of single digits, such as ``"134/25"``, or
+    with sep="," of comma-separated numbers, such as ``"1,10/2"``."""
     blocks = []
     pos = 0
     for piece in text.split("/"):
-        if not piece.isdigit():
+        numbers = piece.split(sep) if sep else list(piece)
+        if not numbers or not all(number.isdigit() for number in numbers):
             raise ParseError(text, pos, "expected a digit block")
-        blocks.append(tuple(int(ch) for ch in piece))
+        blocks.append(tuple(map(int, numbers)))
         pos += len(piece) + 1
     return blocks
 
 
 def parse_set_partition(text: str) -> SetPartition:
+    """The digit form, such as ``"134/25"``, or the comma form of degree 10
+    and more, such as ``"1,10/2/3/4/5/6/7/8/9"``. Text with a comma, or not
+    valid in the digit form, is read in the comma form: text valid in both
+    forms has only single-digit blocks and means the same in both."""
     if text in ("", "-"):
         return ()
-    blocks = parse_digit_blocks(text)
-    try:
-        return canonical_set_partition(blocks)
-    except ValueError as exc:
-        raise ParseError(text, 0, str(exc)) from None
+    error = None
+    for sep in (",",) if "," in text else ("", ","):
+        try:
+            return canonical_set_partition(parse_digit_blocks(text, sep))
+        except ParseError as exc:
+            error = error or exc
+        except ValueError as exc:
+            error = error or ParseError(text, 0, str(exc))
+    raise error
 
 
 def parse_perm(text: str) -> Perm:

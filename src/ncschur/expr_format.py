@@ -60,14 +60,18 @@ class LinearCombination:
     def __init__(self, basis: str, terms: dict | None = None):
         if basis not in self.BASES:
             raise ValueError(f"unknown {self.ALGEBRA} basis {basis!r}")
+        coeffs = {idx: Fraction(c) for idx, c in (terms or {}).items()}
         object.__setattr__(self, "basis", basis)
-        check = self.check_index
-        clean = {}
-        for idx, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[check(idx)] = coeff
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {self.check_index(i): c for i, c in coeffs.items() if c})
+
+    @classmethod
+    def _trusted(cls, basis: str, terms: dict):
+        """Terms already keyed by valid indices, with Fraction coefficients:
+        only the zero ones are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", {idx: c for idx, c in terms.items() if c})
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -95,26 +99,26 @@ class LinearCombination:
             image = fn(idx)
             basis = image.basis
             for key, c in image.terms.items():
-                out[key] = out.get(key, Fraction(0)) + coeff * c
-        return type(self)(basis or self.basis, out)
+                out[key] = out.get(key, 0) + coeff * c
+        return self._trusted(basis or self.basis, out)
 
     def __add__(self, other):
         if self.basis != other.basis:
             return self.common() + other.common()
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, Fraction(0)) + c
-        return type(self)(self.basis, terms)
+            terms[idx] = terms.get(idx, 0) + c
+        return self._trusted(self.basis, terms)
 
     def __neg__(self):
-        return type(self)(self.basis, {idx: -c for idx, c in self.terms.items()})
+        return self._trusted(self.basis, {idx: -c for idx, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
-        return type(self)(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
+        return self._trusted(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

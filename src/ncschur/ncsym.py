@@ -22,8 +22,8 @@ from .combinat import (
     bottom_mobius,
     canonical_set_partition,
     format_set_partition,
-    lower_interval,
     meet,
+    mobius_top,
     parse_set_partition,
     parts_factorial,
     permute_set_partition,
@@ -106,107 +106,165 @@ class NCSymExpr(LinearCombination):
 # ---------------------------------------------------------------------------
 # basis change
 
-def block_weights(basis: str, pi: SetPartition) -> list[int]:
-    """The weight of each subset C of {1..n} (the bitmask with bit x - 1
-    for x) as a block of sigma in the m-expansion of the p/e/h element on
-    pi: for h the product over the blocks B of pi of |C & B|!, for p 1 if
-    C is a union of blocks of pi, for e 1 if C meets each block at most
-    once, else 0. The product over the blocks of sigma is then
-    lambda(meet(sigma, pi))!, [pi <= sigma] or [meet(sigma, pi) is the
-    bottom] (Rosas-Sagan). The table doubles once per element x: C + x
-    extends C, with B the block of x."""
-    owner = {x: sum(1 << (y - 1) for y in b) for b in pi for x in b}
-    w = [1]
-    for x in range(1, sp_size(pi) + 1):
-        b = owner[x]
-        if basis == "h":
-            w += [v * ((c & b).bit_count() + 1) for c, v in enumerate(w)]
-        elif basis == "e":
-            w += [0 if c & b else v for c, v in enumerate(w)]
-        else:
-            b ^= 1 << (x - 1)
-            w += [w[c ^ b] if c & b == b else 0 for c in range(len(w))]
-    return w
+def _subsets(mask: int):
+    """The subsets of a bitmask, in decreasing order."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
 
 
-def _block_products(n: int, columns, vec) -> dict[SetPartition, int]:
-    """sigma -> the sum over i of vec[i] times the product over the blocks
-    C of sigma of columns[C][i], for every set partition sigma of {1..n}.
-    sigma is built block by block, each block holding the least element
-    not yet placed, so its prefixes share their partial products; a prefix
-    whose products all vanish is cut off."""
-    names = [tuple(x + 1 for x in range(n) if c >> x & 1) for c in range(1 << n)]
-    out = {}
+class _CodedLattice:
+    """Down-sets in the lattice of set partitions of {1..n} as lists of
+    integer codes and weights. A code gives element x the digit (least
+    element of its block) - 1 at place n^(x - 1): it is the sum of its
+    blocks' codes, and the down-set of sigma is the sumset over the blocks
+    B of sigma of the codes of the set partitions of B. Those are made once
+    per B: for each subset S of B less its least element x (see _subsets),
+    the block x + S followed by each set partition of B - x - S. A set
+    partition of B weighs by_count[its number of blocks] times the product
+    of by_size[size] over its blocks."""
 
-    def walk(rest, prefix, vec):
-        if not rest:
-            out[prefix] = sum(vec)
-            return
-        low = rest & -rest
-        others = rest ^ low
-        sub = others + 1
-        while sub:  # every subset of others, from others itself down to 0
-            sub = (sub - 1) & others
-            part = list(map(operator.mul, vec, columns[low | sub]))
-            if any(part):
-                walk(others ^ sub, prefix + (names[low | sub],), part)
+    def __init__(self, n: int, by_size=None, by_count=None):
+        self.by_size, self.by_count = by_size or [1] * (n + 1), by_count or [1] * (n + 1)
+        self.place, self.names = [0], [()]  # per bitmask: sum of n^(x - 1), its x
+        for x in range(1, n + 1):
+            self.place += [v + n ** (x - 1) for v in self.place]
+            self.names += [t + (x,) for t in self.names]
+        self.codes, self.shapes, self.weights = [[0]] + [None] * ((1 << n) - 1), {0: [(0, 1)]}, {}
 
-    walk((1 << n) - 1, (), vec)
-    return out
+    def block(self, mask: int) -> list[int]:
+        if self.codes[mask] is None:
+            low = mask & -mask
+            self.codes[mask] = [
+                (low.bit_length() - 1) * self.place[low | sub] + c
+                for sub in _subsets(mask ^ low) for c in self.block(mask ^ low ^ sub)
+            ]
+        return self.codes[mask]
+
+    def shape(self, k: int) -> list[tuple[int, int]]:
+        # the number of blocks and the product of by_size, in block() order
+        if k not in self.shapes:
+            self.shapes[k] = [
+                (count + 1, self.by_size[sub.bit_count() + 1] * v)
+                for sub in _subsets((1 << k - 1) - 1)
+                for count, v in self.shape(k - 1 - sub.bit_count())
+            ]
+        return self.shapes[k]
+
+    def down_set(self, sigma: SetPartition, scale: int = 1):
+        """The codes of the tau <= sigma, and scale times the product of the
+        weights of tau inside the blocks of sigma."""
+        codes, weights = [0], [scale]
+        for b in sigma:
+            if len(b) not in self.weights:
+                self.weights[len(b)] = [self.by_count[c] * v for c, v in self.shape(len(b))]
+            block, block_weights = self.block(sum(1 << (x - 1) for x in b)), self.weights[len(b)]
+            codes = [c + d for c in codes for d in block]
+            weights = [v * w for v in weights for w in block_weights]
+        return codes, weights
+
+    def down_sets(self):
+        """Every set partition sigma of {1..n} with the codes of its
+        down-set. sigma is built block by block, each block holding the
+        least element not yet placed, so that prefixes share their sumsets."""
+        lists = [self.block(mask) for mask in range(len(self.codes))]
+
+        def walk(rest, codes, prefix):
+            if not rest:
+                yield prefix, codes
+                return
+            low = rest & -rest
+            for sub in _subsets(rest ^ low):
+                block = lists[low | sub]
+                yield from walk(rest ^ low ^ sub, [c + d for c in codes for d in block],
+                                prefix + (self.names[low | sub],))
+
+        return walk(len(self.codes) - 1, [0], ())
+
+
+def _integer_degrees(terms: dict):
+    """Per degree n: n, its terms times the lcm of their denominators, and
+    that lcm."""
+    by_degree: dict[int, dict] = {}
+    for pi, c in terms.items():
+        by_degree.setdefault(sp_size(pi), {})[pi] = c
+    for n, part in by_degree.items():
+        den = math.lcm(*(c.denominator for c in part.values()))
+        yield n, {pi: c.numerator * (den // c.denominator) for pi, c in part.items()}, den
 
 
 def to_m(expr: NCSymExpr) -> NCSymExpr:
-    """Exact monomial-basis expansion. The p/e/h terms of each degree are
-    done together in integers: the coefficients are scaled by the lcm of
-    their denominators, and the coefficient of m_sigma is the sum over pi
-    of a_pi times the product of block_weights(pi) over the blocks of
-    sigma."""
+    """Exact monomial-basis expansion by the lattice rules (Rosas-Sagan):
+    p_tau = sum over sigma >= tau of m_sigma, and h_pi = sum over tau <= pi
+    of |mu(0, tau)| p_tau, the same for e_pi with mu(0, tau). In integers
+    per degree, scaled by the lcm of the denominators, the h/e terms are
+    scattered over their coded down-sets (see _CodedLattice) into p-terms,
+    a p term being its own code, and m_sigma gathers its down-set."""
     if expr.basis == "m":
         return expr
     if expr.basis in ("s", "st"):
         return to_m(to_h_or_e(expr))
-    by_degree: dict[int, list] = {}
-    for pi, c in expr.terms.items():
-        by_degree.setdefault(sp_size(pi), []).append((pi, c))
     out = {}
-    for n, items in by_degree.items():
-        den = math.lcm(*(c.denominator for _, c in items))
-        vec = [c.numerator * (den // c.denominator) for _, c in items]
-        columns = list(zip(*(block_weights(expr.basis, pi) for pi, _ in items)))
-        sums = _block_products(n, columns, vec)
-        for sig in set_partitions(n):
-            if sums.get(sig):
-                out[sig] = Fraction(sums[sig], den)
-    return NCSymExpr("m", out)
+    for n, ints, den in _integer_degrees(expr.terms):
+        tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
+        lattice = _CodedLattice(n, [abs(v) for v in tops] if expr.basis == "h" else tops)
+        p: dict[int, int] = {}
+        for pi, a in ints.items():
+            if expr.basis == "p":
+                codes, weights = [sum((b[0] - 1) * n ** (x - 1) for b in pi for x in b)], [a]
+            else:
+                codes, weights = lattice.down_set(pi, a)
+            for c, w in zip(codes, weights):
+                p[c] = p.get(c, 0) + w
+        for sigma, codes in lattice.down_sets():
+            if c := sum(map(p.get, codes, itertools.repeat(0))):
+                out[sigma] = Fraction(c, den)
+    return NCSymExpr._trusted("m", out)
 
 
 def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
     """Rewrite a monomial-basis expression in the p/e/h basis by Moebius
     inversion on the set-partition lattice (Rosas-Sagan). First
-    m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma. Inverting
-    h_sigma = sum over tau <= sigma of |mu(0, tau)| p_tau, and the same for
-    e_sigma with mu(0, tau), gives
-    p_sigma = sum over tau <= sigma of mu(tau, sigma) h_tau / |mu(0, sigma)|,
-    and for the e-basis the division is by mu(0, sigma)."""
+    m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma; inverting the
+    to_m rules gives p_sigma = sum over tau <= sigma of mu(tau, sigma) h_tau
+    / |mu(0, sigma)|, and the same for e_tau over mu(0, sigma). mu(tau,
+    sigma) is the product over the blocks B of sigma of mu(0, top) in the
+    lattice of the blocks of tau inside B. In integers per degree, the
+    p-terms over mu(0, sigma), scaled by the lcm of their denominators, are
+    scattered over the coded down-sets (see _CodedLattice); only the
+    output codes are decoded."""
     if expr.basis != "m":
         raise ValueError("from_m needs a monomial-basis expression")
     if target not in ("p", "e", "h"):
         raise ValueError(f"cannot convert into basis {target!r}")
-    p_terms: dict[SetPartition, Fraction] = {}
-    for pi, c in expr.terms.items():
-        for sigma, mu in upper_interval(pi):
-            p_terms[sigma] = p_terms.get(sigma, 0) + c * mu
-    if target == "p":
-        return NCSymExpr("p", p_terms)
-    out: dict[SetPartition, Fraction] = {}
-    for sigma, c in p_terms.items():
-        if not c:
+    out = {}
+    for n, ints, den in _integer_degrees(expr.terms):
+        p: dict[SetPartition, int] = {}
+        for pi, a in ints.items():
+            for sigma, mu in upper_interval(pi):
+                p[sigma] = p.get(sigma, 0) + a * mu
+        if target == "p":
+            out.update((sigma, Fraction(c, den)) for sigma, c in p.items() if c)
             continue
-        scale = bottom_mobius(sigma)
-        c = c / (abs(scale) if target == "h" else scale)
-        for tau, mu in lower_interval(sigma):
-            out[tau] = out.get(tau, 0) + c * mu
-    return NCSymExpr(target, out)
+        mus = {sigma: bottom_mobius(sigma) for sigma, c in p.items() if c}
+        if target == "h":
+            mus = {sigma: abs(mu) for sigma, mu in mus.items()}
+        scale = math.lcm(*(abs(mu) // math.gcd(p[sigma], mu) for sigma, mu in mus.items()))
+        tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
+        lattice, acc = _CodedLattice(n, by_count=tops), {}
+        for sigma, mu in mus.items():
+            for code, w in zip(*lattice.down_set(sigma, p[sigma] * scale // mu)):
+                acc[code] = acc.get(code, 0) + w
+        for code, c in acc.items():
+            if c:
+                blocks: dict[int, list[int]] = {}
+                for x in range(1, n + 1):
+                    code, d = divmod(code, n)
+                    blocks.setdefault(d, []).append(x)
+                out[tuple(map(tuple, blocks.values()))] = Fraction(c, den * scale)
+    return NCSymExpr._trusted(target, out)
 
 
 def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:

@@ -95,6 +95,20 @@ def test_omega(capsys):
     assert out.strip() == "-p[12/3]"
 
 
+def test_omega_round_trips_an_index_past_degree_9(capsys):
+    code, out, _ = run(capsys, "omega", "--basis", "h", "--index", "1,10/2/3/4/5/6/7/8/9")
+    assert code == 0
+    assert out.strip() == "e[1,10/2/3/4/5/6/7/8/9]"
+    code, back, _ = run(capsys, "omega", "--basis", "e", "--index", out.strip()[2:-1])
+    assert code == 0
+    assert back.strip() == "h[1,10/2/3/4/5/6/7/8/9]"
+    _, payload, _ = run(capsys, "--format", "json", "omega", "--basis", "h",
+                        "--index", "1/2/3/4/5/6/7/8/9/10")
+    code, again, _ = run(capsys, "omega", "--expr", payload.strip())
+    assert code == 0
+    assert again.strip() == "h[1/2/3/4/5/6/7/8/9/10]"
+
+
 def test_act(capsys):
     code, out, _ = run(capsys, "act", "--basis", "h", "--index", "12/3", "--delta", "132")
     assert code == 0

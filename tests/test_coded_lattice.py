@@ -1,0 +1,92 @@
+"""The integer-coded refinement lattice behind ncsym.to_m and ncsym.from_m,
+against oracles that share no code with it: down-sets from
+combinat.refines, Moebius values from the defining recursion over
+refines, and codes decoded here digit by digit."""
+
+from math import factorial
+
+import pytest
+
+from ncschur.combinat import interval_partition, refines, set_partitions
+from ncschur.ncsym import NCSymExpr, _CodedLattice, from_m, to_m
+
+MAX_DEGREE = 6
+
+
+def tops(n):
+    return [1] + [(-1) ** (k - 1) * factorial(k - 1) for k in range(1, n + 1)]
+
+
+def decode(code, n):
+    """Element x has the digit (least element of its block) - 1 at n^(x - 1)."""
+    least = [code // n ** (x - 1) % n + 1 for x in range(1, n + 1)]
+    blocks = {}
+    for x, low in zip(range(1, n + 1), least):
+        blocks.setdefault(low, []).append(x)
+    return tuple(tuple(blocks[low]) for low in sorted(blocks))
+
+
+def mobius_rows(n):
+    """mu(tau, sigma) for all tau <= sigma, by mu(sigma, sigma) = 1 and
+    mu(tau, sigma) = -(sum of mu(rho, sigma) over tau < rho <= sigma)."""
+    parts = sorted(set_partitions(n), key=len)  # coarser partitions first
+    mu = {}
+    for sigma in parts:
+        below = [tau for tau in parts if refines(tau, sigma)]
+        for tau in below:  # in decreasing rank, so every rho above tau is done
+            mu[tau, sigma] = 1 if tau == sigma else -sum(
+                mu[rho, sigma] for rho in below if rho != tau and refines(tau, rho)
+            )
+    return mu
+
+
+@pytest.fixture(scope="module")
+def mobius():
+    return {n: mobius_rows(n) for n in range(MAX_DEGREE + 1)}
+
+
+def test_down_sets_are_the_refinements(mobius):
+    for n in range(MAX_DEGREE + 1):
+        lattice = _CodedLattice(n)
+        for sigma in set_partitions(n):
+            codes, weights = lattice.down_set(sigma, 3)
+            taus = [decode(c, n) if n else () for c in codes]
+            assert len(set(taus)) == len(taus), sigma
+            assert set(taus) == {tau for tau in set_partitions(n) if refines(tau, sigma)}
+            assert set(weights) == {3}
+
+
+def test_count_weights_are_the_moebius_function(mobius):
+    for n in range(MAX_DEGREE + 1):
+        lattice = _CodedLattice(n, by_count=tops(n))
+        for sigma in set_partitions(n):
+            codes, weights = lattice.down_set(sigma)
+            got = {decode(c, n) if n else (): w for c, w in zip(codes, weights)}
+            assert got == {tau: mobius[n][tau, sigma] for tau in got}, sigma
+
+
+def test_size_weights_are_the_moebius_function_from_the_bottom(mobius):
+    for n in range(1, MAX_DEGREE + 1):
+        bottom = interval_partition((1,) * n)
+        lattice = _CodedLattice(n, tops(n))
+        for sigma in set_partitions(n):
+            codes, weights = lattice.down_set(sigma)
+            got = {decode(c, n): w for c, w in zip(codes, weights)}
+            assert got == {tau: mobius[n][bottom, tau] for tau in got}, sigma
+
+
+def test_the_walk_lists_every_down_set():
+    for n in range(MAX_DEGREE + 1):
+        walked = list(_CodedLattice(n).down_sets())
+        assert sorted(sigma for sigma, _ in walked) == sorted(set_partitions(n))
+        for sigma, codes in walked:
+            taus = sorted(decode(c, n) if n else () for c in codes)
+            assert taus == sorted(tau for tau in set_partitions(n) if refines(tau, sigma))
+
+
+@pytest.mark.parametrize("target", "peh")
+@pytest.mark.parametrize("index", [((1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,)),
+                                   ((1, 2, 3, 4, 5, 6, 7, 8),)])
+def test_round_trips_at_degree_8(target, index):
+    expr = NCSymExpr.single("m", index)
+    assert to_m(from_m(expr, target)) == expr

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,11 +33,13 @@ from ncschur.combinat import (
     shifted_concat,
     skew,
     slash,
+    sp_size,
     ssyt,
     syt_count,
     tableau,
     transpose,
 )
+from ncschur.ncsym import NCSymExpr
 from ncschur.verify import skew_shapes
 
 
@@ -111,6 +115,17 @@ def test_kostka_values():
     assert kostka(skew((2, 2), (1,)), (2, 1)) == 1
 
 
+def test_kostka_matches_the_tableau_enumeration():
+    # the branching rule against counting the enumerated tableaux by content
+    for shape in skew_shapes(6, 3):
+        for nu in partitions(shape.size):
+            tableaux = ssyt(shape, len(nu)) if nu else ()
+            want = sum(1 for t in tableaux if t.weight() == nu) if nu else 1
+            assert kostka(shape, nu) == want, (shape, nu)
+    assert kostka(skew((2, 1)), (2,)) == 0
+    assert kostka(skew((1,)), (1, 1)) == 0
+
+
 def test_syt_counts():
     assert syt_count((2, 1)) == 2
     assert syt_count((2, 2)) == 2
@@ -136,6 +151,40 @@ def test_parse_round_trips():
     assert parse_perm("132") == (1, 3, 2)
     assert parse_perm("1,6,9,3,7,8,4,5,2") == (1, 6, 9, 3, 7, 8, 4, 5, 2)
     assert parse_skew("3.2.2.1/2.1") == skew((3, 2, 2, 1), (2, 1))
+
+
+def random_set_partition(rng, n):
+    blocks = []
+    for x in range(1, n + 1):
+        i = rng.randrange(len(blocks) + 1)
+        if i == len(blocks):
+            blocks.append([])
+        blocks[i].append(x)
+    return tuple(map(tuple, blocks))
+
+
+def test_set_partition_text_round_trips_at_every_size():
+    rng = random.Random(10)
+    seeded = [random_set_partition(rng, n) for n in range(9, 13) for _ in range(50)]
+    for pi in [pi for n in range(9) for pi in set_partitions(n)] + seeded:
+        text = format_set_partition(pi)
+        assert ("," in text) == (sp_size(pi) >= 10 and any(len(b) > 1 for b in pi))
+        assert parse_set_partition(text) == pi
+        expr = NCSymExpr("e", {pi: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))})
+        assert NCSymExpr.from_json(expr.to_json()).terms == expr.terms
+
+
+def test_set_partition_comma_form():
+    ten = parse_set_partition("1,10/2/3/4/5/6/7/8/9")
+    assert ten == ((1, 10), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,))
+    assert format_set_partition(ten) == "1,10/2/3/4/5/6/7/8/9"
+    singletons = tuple((x,) for x in range(1, 11))
+    assert parse_set_partition("1/2/3/4/5/6/7/8/9/10") == singletons
+    assert format_set_partition(singletons) == "1/2/3/4/5/6/7/8/9/10"
+    assert parse_set_partition("3,1/2") == parse_set_partition("13/2")
+    for bad in ("1,/2", "1,,2", "11", "1,11/2/3/4/5/6/7/8/9", "12//3"):
+        with pytest.raises(ParseError):
+            parse_set_partition(bad)
 
 
 def test_parse_errors_carry_position():
