@@ -3,92 +3,36 @@ variables: the m/p/e/h bases over set partitions, the Schur-type bases and
 their product and refinement identities, Rosas-Sagan functions, the
 lattice-path swap, and the compositions-indexed algebra with its embedding
 and forgetful maps. All arithmetic is exact over the rationals.
+
+The public names below load their defining module on first access (PEP
+562), so ``import ncschur`` alone, or a CLI command, compiles only the
+modules it uses.
 """
 
-from .combinat import (
-    SkewShape,
-    SemistandardTableau,
-    YoungTableau,
-    concat,
-    delta_pi,
-    kostka,
-    near_concat,
-    partitions,
-    ribbon_shape,
-    set_partitions,
-    skew,
-    slash,
-)
-from .ncpoly import CPoly, NCPoly
-from .ncsym import (
-    NCSymExpr,
-    coproduct,
-    delta_action,
-    from_m,
-    naive_expand,
-    omega,
-    oracle_expand,
-    product,
-    rho,
-    to_m,
-)
-from .nsym import NSymExpr, chi, iota
-from .schur import (
-    h_to_schur,
-    rosas_sagan,
-    rs_lr_expand,
-    schur_basis_convert,
-    source_skew_schur,
-    skew_schur_nc,
-    specht_rank,
-    specht_vector,
-    standard_schur,
-    tabloid_schur,
-    transposed_schur,
-)
-from .sym import SymExpr, jacobi_trudi, littlewood_richardson, skew_schur
+import importlib
 
-__all__ = [
-    "CPoly",
-    "NCPoly",
-    "NCSymExpr",
-    "NSymExpr",
-    "SemistandardTableau",
-    "SkewShape",
-    "SymExpr",
-    "YoungTableau",
-    "chi",
-    "concat",
-    "coproduct",
-    "delta_action",
-    "delta_pi",
-    "from_m",
-    "h_to_schur",
-    "iota",
-    "jacobi_trudi",
-    "kostka",
-    "littlewood_richardson",
-    "naive_expand",
-    "near_concat",
-    "omega",
-    "oracle_expand",
-    "partitions",
-    "product",
-    "rho",
-    "ribbon_shape",
-    "rosas_sagan",
-    "rs_lr_expand",
-    "schur_basis_convert",
-    "set_partitions",
-    "skew",
-    "skew_schur",
-    "skew_schur_nc",
-    "slash",
-    "source_skew_schur",
-    "specht_rank",
-    "specht_vector",
-    "standard_schur",
-    "tabloid_schur",
-    "to_m",
-    "transposed_schur",
-]
+# public name -> the submodule that defines it
+_SOURCES = {
+    name: module
+    for module, names in {
+        "combinat": "SkewShape SemistandardTableau YoungTableau concat delta_pi kostka "
+                    "near_concat partitions ribbon_shape set_partitions skew slash",
+        "ncpoly": "CPoly NCPoly",
+        "ncsym": "NCSymExpr coproduct delta_action from_m naive_expand omega "
+                 "oracle_expand product rho to_m",
+        "nsym": "NSymExpr chi iota",
+        "schur": "h_to_schur rosas_sagan rs_lr_expand schur_basis_convert source_skew_schur "
+                 "skew_schur_nc specht_rank specht_vector standard_schur tabloid_schur "
+                 "transposed_schur",
+        "sym": "SymExpr jacobi_trudi littlewood_richardson skew_schur",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)

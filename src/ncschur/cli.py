@@ -10,13 +10,14 @@ printed), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from . import lgv, schur, verify
 from .combinat import (
     ParseError,
     SkewShape,
     format_partition,
+    kostka,
     parse_digit_blocks,
     parse_partition,
     parse_perm,
@@ -28,6 +29,10 @@ from .ncsym import NCSymExpr, delta_action, from_m, omega, oracle_expand, rho, t
 
 # the size keywords of the verify suites; each suite takes exactly one
 SIZE_OPTIONS = ("max_size", "max_n", "max_degree")
+# the names of verify.SUITES, spelled out so that building the parser does
+# not import verify; a command imports only the modules that it runs
+SUITE_NAMES = ("prod", "ncschur-triangular", "transpose", "deltaact", "rsrefines", "rslr",
+               "rscoprod", "iota", "lgv", "specht")
 
 
 def _index_expr(args) -> NCSymExpr:
@@ -67,6 +72,8 @@ def cmd_convert(args) -> int:
     if args.to == "m":
         out = to_m(expr)
     elif args.to == "s":
+        from . import schur
+
         out = schur.schur_basis_convert(expr, "s")
     else:
         out = from_m(to_m(expr), args.to)
@@ -75,6 +82,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_schur(args) -> int:
+    from . import schur
+
     if args.tabloid:
         out = schur.tabloid_schur(_parse_tableau_rows(args.tabloid))
     elif args.pi is not None:
@@ -116,11 +125,15 @@ def cmd_act(args) -> int:
 
 
 def cmd_rs(args) -> int:
+    from . import schur
+
     _emit(args, schur.rosas_sagan(parse_skew(args.shape)))
     return 0
 
 
 def cmd_lr(args) -> int:
+    from . import schur
+
     try:
         pairs = schur.rs_lr_expand(parse_skew(args.shape))
     except ArithmeticError as exc:
@@ -132,18 +145,20 @@ def cmd_lr(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    from .combinat import kostka
-
     print(kostka(parse_skew(args.shape), parse_partition(args.content)))
     return 0
 
 
 def cmd_specht_rank(args) -> int:
+    from . import schur
+
     print(schur.specht_rank(parse_partition(args.shape)))
     return 0
 
 
 def cmd_lgv_check(args) -> int:
+    from . import lgv
+
     shape = parse_skew(args.shape)
     try:
         lgv.fixed_points_to_ssyt(shape, args.cap)
@@ -160,8 +175,11 @@ def cmd_lgv_check(args) -> int:
 def cmd_verify(args) -> int:
     """Run one suite. ``--max-size`` sets the suite's own size keyword
     (max_size, max_n or max_degree); ``--seed`` is only for a suite that
-    takes a seed. Anything else is a usage error."""
+    takes a seed. Anything else is a usage error. With --format json the
+    report prints as one object with the SuiteReport fields."""
     import inspect
+
+    from . import verify
 
     params = inspect.signature(verify.SUITES[args.suite]).parameters
     options = {}
@@ -173,7 +191,7 @@ def cmd_verify(args) -> int:
             return 2
         options["seed"] = args.seed
     report = verify.run_suite(args.suite, **options)
-    print(report)
+    print(json.dumps(report._asdict()) if args.format == "json" else report)
     return 0 if report.ok else 1
 
 
@@ -251,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lgv_check)
 
     p = sub.add_parser("verify", help="run a named identity suite")
-    p.add_argument("suite", choices=sorted(verify.SUITES))
+    p.add_argument("suite", choices=sorted(SUITE_NAMES))
     p.add_argument("--max-size", type=int, dest="max_size",
                    help="the suite's size bound (its max_size, max_n or max_degree)")
     p.add_argument("--seed", type=int, help="random seed, for a seeded suite (deltaact)")

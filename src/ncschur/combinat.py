@@ -555,9 +555,12 @@ def kostka(shape: SkewShape, nu: Partition) -> int:
 
 
 def syt_count(lam: Partition) -> int:
-    """Number of standard Young tableaux of straight shape lam."""
-    n = sum(lam)
-    return kostka(SkewShape(lam, ()), (1,) * n) if n else 1
+    """Number of standard Young tableaux of straight shape lam, by the
+    hook-length formula: n! over the product of the hook lengths."""
+    cols = transpose(lam)
+    return factorial(sum(lam)) // prod(
+        row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
+    )
 
 
 # ---------------------------------------------------------------------------

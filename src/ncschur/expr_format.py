@@ -60,14 +60,18 @@ class LinearCombination:
     def __init__(self, basis: str, terms: dict | None = None):
         if basis not in self.BASES:
             raise ValueError(f"unknown {self.ALGEBRA} basis {basis!r}")
-        coeffs = {idx: Fraction(c) for idx, c in (terms or {}).items()}
+        coeffs: dict = {}
+        for idx, c in (terms or {}).items():
+            # spellings of one index add up under their checked key
+            key = self.check_index(idx)
+            coeffs[key] = coeffs.get(key, 0) + Fraction(c)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {self.check_index(i): c for i, c in coeffs.items() if c})
+        object.__setattr__(self, "terms", {idx: c for idx, c in coeffs.items() if c})
 
     @classmethod
     def _trusted(cls, basis: str, terms: dict):
-        """Terms already keyed by valid indices, with Fraction coefficients:
-        only the zero ones are dropped."""
+        """Terms already keyed by checked indices (what check_index returns),
+        with Fraction coefficients: only the zero ones are dropped."""
         self = object.__new__(cls)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", {idx: c for idx, c in terms.items() if c})
@@ -82,7 +86,7 @@ class LinearCombination:
 
     @classmethod
     def single(cls, basis: str, idx, coeff=1):
-        return cls(basis, {tuple(idx): Fraction(coeff)})
+        return cls(basis, {cls.check_index(idx): Fraction(coeff)})
 
     @classmethod
     def one(cls, basis: str | None = None):

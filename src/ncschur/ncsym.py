@@ -72,20 +72,12 @@ class NCSymExpr(LinearCombination):
     ALGEBRA = "ncsym"
     BASES = ("m", "p", "e", "h", "s", "st")
     LABELS = {"st": "s^t"}
+    check_index = staticmethod(canonical_set_partition)
     format_index = staticmethod(format_set_partition)
     parse_index = staticmethod(parse_set_partition)
 
-    @staticmethod
-    def check_index(pi: SetPartition) -> SetPartition:
-        # the fast path: keys are taken as given, only made hashable
-        return tuple(tuple(b) for b in pi)
-
     def common(self) -> "NCSymExpr":
         return to_m(self)
-
-    @classmethod
-    def single(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymExpr":
-        return cls(basis, {canonical_set_partition(pi): Fraction(coeff)})
 
     @classmethod
     def one(cls, basis: str = "h") -> "NCSymExpr":
@@ -297,7 +289,7 @@ def product(f: NCSymExpr, g: NCSymExpr) -> NCSymExpr:
             for sig, c2 in g.terms.items():
                 idx = slash(pi, sig)
                 terms[idx] = terms.get(idx, Fraction(0)) + c1 * c2
-        return NCSymExpr(f.basis, terms)
+        return NCSymExpr._trusted(f.basis, terms)
     prod_h = product(to_h(f), to_h(g))
     if f.basis == g.basis == "m":
         return to_m(prod_h)
@@ -316,18 +308,18 @@ def sp_sign(pi: SetPartition) -> int:
 def omega(expr: NCSymExpr) -> NCSymExpr:
     """The involution exchanging the h- and e-type bases."""
     if expr.basis == "h":
-        return NCSymExpr("e", expr.terms)
+        return NCSymExpr._trusted("e", expr.terms)
     if expr.basis == "e":
-        return NCSymExpr("h", expr.terms)
+        return NCSymExpr._trusted("h", expr.terms)
     if expr.basis == "p":
-        return NCSymExpr(
+        return NCSymExpr._trusted(
             "p", {pi: c * sp_sign(pi) for pi, c in expr.terms.items()}
         )
     if expr.basis == "m":
         return to_m(omega(from_m(expr, "h")))
     if expr.basis == "s":
-        return NCSymExpr("st", expr.terms)
-    return NCSymExpr("s", expr.terms)
+        return NCSymExpr._trusted("st", expr.terms)
+    return NCSymExpr._trusted("s", expr.terms)
 
 
 def delta_action(delta: Perm, expr: NCSymExpr) -> NCSymExpr:
@@ -338,7 +330,7 @@ def delta_action(delta: Perm, expr: NCSymExpr) -> NCSymExpr:
     for pi, c in expr.terms.items():
         idx = permute_set_partition(delta, pi)
         terms[idx] = terms.get(idx, Fraction(0)) + c
-    return NCSymExpr(expr.basis, terms)
+    return NCSymExpr._trusted(expr.basis, terms)
 
 
 _RHO_SCALE = {

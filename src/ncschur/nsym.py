@@ -101,7 +101,7 @@ def iota(expr: NSymExpr) -> NCSymExpr:
     for alpha, coeff in expr.terms.items():
         pi = interval_partition(alpha)
         terms[pi] = terms.get(pi, Fraction(0)) + coeff / parts_factorial(alpha)
-    return NCSymExpr("h", terms)
+    return NCSymExpr._trusted("h", terms)
 
 
 def chi(expr: NSymExpr) -> SymExpr:

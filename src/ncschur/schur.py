@@ -61,7 +61,7 @@ def source_skew_schur(shape: SkewShape) -> NCSymExpr:
     for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner):
         pi = interval_partition(tuple(c for c in entries if c))
         terms[pi] = terms.get(pi, Fraction(0)) + Fraction(sign, parts_factorial(entries))
-    return NCSymExpr("h", terms)
+    return NCSymExpr._trusted("h", terms)
 
 
 def skew_schur_nc(delta: Perm, shape: SkewShape) -> NCSymExpr:
@@ -83,8 +83,7 @@ def standard_schur(pi: SetPartition) -> NCSymExpr:
 def transposed_schur(pi: SetPartition) -> NCSymExpr:
     """The transposed Schur basis element: the same determinant with e in
     place of h."""
-    h_expr = standard_schur(pi)
-    return NCSymExpr("e", h_expr.terms)
+    return NCSymExpr._trusted("e", standard_schur(pi).terms)
 
 
 def tabloid_schur(t: YoungTableau) -> NCSymExpr:
@@ -160,7 +159,7 @@ def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
                         f"{format_set_partition(sig)}, column {format_set_partition(pi)}"
                     )
                 rest[sig] = rest.get(sig, 0) - out[pi] * a
-    return NCSymExpr("s", out)
+    return NCSymExpr._trusted("s", out)
 
 
 def schur_basis_convert(expr: NCSymExpr, target: str) -> NCSymExpr:
@@ -293,8 +292,8 @@ def rosas_sagan(shape: SkewShape) -> NCSymExpr:
     shapes nu of (parts factorial of nu) times the Kostka number, spread
     over all set partitions of that shape."""
     n = shape.size
-    coeff = {nu: parts_factorial(nu) * kostka(shape, nu) for nu in partitions(n)}
-    return NCSymExpr("m", {pi: coeff[shape_of(pi)] for pi in set_partitions(n)})
+    coeff = {nu: Fraction(parts_factorial(nu) * kostka(shape, nu)) for nu in partitions(n)}
+    return NCSymExpr._trusted("m", {pi: coeff[shape_of(pi)] for pi in set_partitions(n)})
 
 
 def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:

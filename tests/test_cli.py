@@ -210,6 +210,38 @@ def test_verify_rejects_a_seed_the_suite_does_not_take(capsys):
     assert "--seed" in err
 
 
+def test_verify_json_report(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "specht", "--max-size", "2")
+    assert code == 0
+    assert json.loads(out) == {
+        "name": "specht",
+        "ok": True,
+        "detail": "shapes of size <= 2; rank/standard-count 1:1/1 2:1/1 1.1:0/1",
+        "counterexample": None,
+    }
+
+
+def test_verify_json_report_of_a_failing_suite(capsys, monkeypatch):
+    from ncschur import schur
+
+    orig = schur.ribbon_source
+    monkeypatch.setattr(schur, "ribbon_source", lambda alpha: -orig(alpha))
+    code, out, _ = run(capsys, "--format", "json", "verify", "iota", "--max-size", "2")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "name": "iota",
+        "ok": False,
+        "detail": "compositions and shapes of size <= 2",
+        "counterexample": "ribbon alpha=1",
+    }
+    code, out, _ = run(capsys, "verify", "iota", "--max-size", "2")
+    assert code == 1
+    assert out == (
+        "iota: FAILED (compositions and shapes of size <= 2)\ncounterexample: ribbon alpha=1\n"
+    )
+
+
 def test_every_suite_has_exactly_one_size_keyword(capsys):
     import inspect
 

@@ -131,6 +131,11 @@ def test_syt_counts():
     assert syt_count((2, 2)) == 2
     assert syt_count((3, 1, 1)) == 6
     assert syt_count((5,)) == 1
+    # the hook-length formula against the branching rule with content 1^n
+    for n in range(9):
+        for lam in partitions(n):
+            assert syt_count(lam) == kostka(skew(lam), (1,) * n), lam
+    assert syt_count(()) == 1
 
 
 def test_ssyt_weakly_increase_rows_strictly_increase_columns():

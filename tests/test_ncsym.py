@@ -304,8 +304,21 @@ def test_single_canonicalizes_its_index():
     assert str(f) == "h[1/2]"
     assert f == single("h", "1/2")
     assert NCSymExpr.single("m", ((3, 1), (2,))).terms == {((1, 3), (2,)): 1}
+    assert NCSymExpr.single("h", [[2], [1]]) == f
     with pytest.raises(ValueError):
         NCSymExpr.single("h", ((1,), (3,)))
+
+
+def test_constructor_canonicalizes_and_adds_spellings_of_one_index():
+    f = NCSymExpr("h", {((2,), (1,)): 1, ((1,), (2,)): 1})
+    assert f == NCSymExpr.single("h", ((1,), (2,)), 2)
+    assert f.terms == {((1,), (2,)): 2}
+    uncanonical = NCSymExpr("m", {((3, 1), (2,)): Fraction(1, 2)})
+    assert uncanonical == NCSymExpr.single("m", ((1, 3), (2,)), Fraction(1, 2))
+    assert str(uncanonical) == "1/2 m[13/2]"
+    assert NCSymExpr("p", {((2,), (1,)): 1, ((1,), (2,)): -1}).is_zero()
+    with pytest.raises(ValueError):
+        NCSymExpr("h", {((1,), (3,)): 1})
 
 
 def test_from_json_adds_spellings_of_one_index():
