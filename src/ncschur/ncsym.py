@@ -38,7 +38,8 @@ from .expr_format import LinearCombination
 from .ncpoly import NCPoly
 from .sym import SymExpr
 
-# expansion into words costs k^n; anything past these is a mistake, not a job
+# expansion into words makes a list of k^n coefficients per index (about
+# 8 MB at the word limit); anything past these is a mistake, not a job
 ORACLE_DEGREE_LIMIT = 8
 ORACLE_WORD_LIMIT = 10**6
 
@@ -398,55 +399,96 @@ def _check_size(basis: str, pi: SetPartition, k: int):
         )
 
 
-def _words(pi: SetPartition, k: int, pools) -> dict:
-    """The word expansion over the blocks of pi, a word w_1...w_n over
-    x_1..x_k being the base-k integer sum over x of (w_x - 1) k^(n - x).
-    Each pool maps a tuple of digits (letter - 1) for the next block(s), in
-    block order, to its multiplicity and adds them at those letters'
-    positions. An empty pool gives no words, and n = 0 the one word 0."""
+def _words(n: int, k: int, pools) -> list[int]:
+    """The word expansion of degree n over x_1..x_k as a list of k^n
+    coefficients: the word w_1...w_n sits at the base-k integer sum over x
+    of (w_x - 1) k^(n - x). A pool is a tuple of letters (positions, in
+    increasing order) and a list of weights over their digits (letter - 1),
+    indexed the same way. Its weights spread over the other letters run by
+    run from the right: a run of free letters repeats each chunk of
+    k^(letters to its right) entries k^(run length) times. The spread pools
+    multiply; a pool whose weights are all 1 is skipped, and so with no
+    other pool every word has coefficient 1."""
+    out = None
+    for letters, vals in pools:
+        if vals.count(1) == len(vals):
+            continue
+        end = n
+        while end > 0:
+            start = end
+            while start and start not in letters:
+                start -= 1
+            if start < end:  # the letters start + 1..end are free
+                chunk, copies, spread = k ** (n - end), k ** (end - start), []
+                for i in range(0, len(vals), chunk):
+                    spread += vals[i:i + chunk] * copies
+                vals = spread
+            end = start - 1
+        out = vals if out is None else list(map(operator.mul, out, vals))
+    return [1] * k**n if out is None else out
+
+
+def _by_blocks(pi: SetPartition, k: int, weights) -> list[int]:
+    """The expansion with one pool per block of pi, its weights made by
+    weights(size, k) once per block size: the p/e/h weights of a block
+    depend only on its size, and are symmetric in its letters."""
+    by_size: dict[int, list[int]] = {}
+    for b in pi:
+        if len(b) not in by_size:
+            by_size[len(b)] = weights(len(b), k)
+    return _words(sp_size(pi), k, [(b, by_size[len(b)]) for b in pi])
+
+
+def _scatter(size: int, k: int, tuples, place) -> list[int]:
+    # weight 1 at each tuple of digits, read at the given place values
+    vals = [0] * k**size
+    for t in tuples:
+        vals[sum(map(operator.mul, t, place))] = 1
+    return vals
+
+
+def _expand_m(pi: SetPartition, k: int) -> list[int]:
+    # one joint pool: a digit per block, constant on it, distinct across blocks
     n = sp_size(pi)
-    weights = iter([k ** (n - x) for b in pi for x in b])
-    words = {0: 1}
-    for pool in pools:
-        place = list(itertools.islice(weights, len(next(iter(pool), ()))))
-        digits = {sum(map(operator.mul, t, place)): m for t, m in pool.items()}
-        words = {w + d: c * m for w, c in words.items() for d, m in digits.items()}
-    return words
+    place = [sum(k ** (n - x) for x in b) for b in pi]
+    vals = _scatter(n, k, itertools.permutations(range(k), len(pi)), place)
+    return _words(n, k, [(range(1, n + 1), vals)])
 
 
-def _expand_m(pi: SetPartition, k: int) -> dict:
-    # one pool: a digit per block, constant on it, distinct across blocks
-    pool = {
-        tuple(v for b, v in zip(pi, values) for _ in b): 1
-        for values in itertools.permutations(range(k), len(pi))
-    }
-    return _words(pi, k, [pool])
+def _p_weights(size: int, k: int) -> list[int]:
+    # one digit repeated over the block
+    return _scatter(size, k, ((v,) for v in range(k)), [sum(k**i for i in range(size))])
 
 
-def _expand_p(pi: SetPartition, k: int) -> dict:
-    # one digit per block
-    return _words(pi, k, [{(v,) * len(b): 1 for v in range(k)} for b in pi])
-
-
-def _expand_e(pi: SetPartition, k: int) -> dict:
+def _e_weights(size: int, k: int) -> list[int]:
     # distinct digits within a block
-    pools = [{t: 1 for t in itertools.permutations(range(k), len(b))} for b in pi]
-    return _words(pi, k, pools)
+    place = [k ** (size - 1 - i) for i in range(size)]
+    return _scatter(size, k, itertools.permutations(range(k), size), place)
 
 
-def _expand_h(pi: SetPartition, k: int) -> dict:
+def _h_weights(size: int, k: int) -> list[int]:
     # the double sum over block-fixing permutations composed with weakly
     # increasing values per block, collapsed: within one block every tuple
     # of values occurs, and the number of (sorted tuple, permutation) pairs
-    # producing it is the product of its value-multiplicity factorials
-    pools = [
-        {
-            vals: multiplicity_factorial(sorted(vals))
-            for vals in itertools.product(range(k), repeat=len(b))
-        }
-        for b in pi
-    ]
-    return _words(pi, k, pools)
+    # producing it is the product of its value-multiplicity factorials;
+    # appending a digit d multiplies it by the number of d's then in the tuple
+    vals = [1]
+    for s in range(size):
+        prefixes = itertools.product(range(k), repeat=s)
+        vals = [v * (t.count(d) + 1) for t, v in zip(prefixes, vals) for d in range(k)]
+    return vals
+
+
+def _expand_p(pi: SetPartition, k: int) -> list[int]:
+    return _by_blocks(pi, k, _p_weights)
+
+
+def _expand_e(pi: SetPartition, k: int) -> list[int]:
+    return _by_blocks(pi, k, _e_weights)
+
+
+def _expand_h(pi: SetPartition, k: int) -> list[int]:
+    return _by_blocks(pi, k, _h_weights)
 
 
 _EXPANDERS = {"m": _expand_m, "p": _expand_p, "e": _expand_e, "h": _expand_h}
@@ -454,8 +496,10 @@ _EXPANDERS = {"m": _expand_m, "p": _expand_p, "e": _expand_e, "h": _expand_h}
 
 def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
     """Exact truncated expansion into words over x_1..x_k. The expanders
-    give base-k integers (see _words), which name a word only with its
-    length: they are added up per degree and decoded only here."""
+    give coefficient lists of length k^n indexed by base-k integers (see
+    _words), which name a word only with its length: the nonzero entries
+    are added up per degree and decoded only here. The guards run on every
+    term before any list is made."""
     if k < 1:
         raise ValueError("need at least one variable")
     for pi in expr.terms:
@@ -465,8 +509,9 @@ def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
     by_degree: dict[int, dict] = {}
     for pi, coeff in expr.terms.items():
         words = by_degree.setdefault(sp_size(pi), {})
-        for w, c in _EXPANDERS[expr.basis](pi, k).items():
-            words[w] = words.get(w, 0) + coeff * c
+        for w, c in enumerate(_EXPANDERS[expr.basis](pi, k)):
+            if c:
+                words[w] = words.get(w, 0) + coeff * c
     return NCPoly(k, {
         tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): c
         for n, words in by_degree.items() for w, c in words.items()

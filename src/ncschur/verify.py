@@ -25,7 +25,6 @@ from .combinat import (
     set_partitions,
     shape_of,
     skew,
-    slash,
     transpose,
 )
 from .ncpoly import NCPoly
@@ -96,27 +95,33 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
             for a in range(1, n)
             for pi in set_partitions(a)
         }
-        for a in range(1, n):
-            shift = n ** (n - a)
-            for pi in set_partitions(a):
-                for sig in set_partitions(n - a):
-                    for basis in bases:
-                        # the slash-product rule at word level: the expansion
-                        # of the product index must equal the concatenation
-                        # convolution of the factors (base-n words of lengths
-                        # a and n - a concatenate to w1 * n**(n - a) + w2); the
-                        # count catches factor words that collide, which
-                        # building a dict would merge
-                        lhs = _EXPANDERS[basis](slash(pi, sig), n)
-                        left, right = factors[pi][basis], factors[sig][basis]
-                        rhs = {
-                            w1 * shift + w2: c1 * c2
-                            for w1, c1 in left.items()
-                            for w2, c2 in right.items()
-                        }
-                        if len(rhs) != len(left) * len(right) or lhs != rhs:
-                            return fail(f"{basis}: pi={format_set_partition(pi)} "
-                                        f"sig={format_set_partition(sig)}")
+        for tau in set_partitions(n):
+            # tau = slash(pi, sig) with |pi| = a exactly when no block of tau
+            # has elements on both sides of a; each tau is expanded once per
+            # basis and compared at every such split
+            splits = [a for a in range(1, n) if all(b[0] > a or b[-1] <= a for b in tau)]
+            if not splits:
+                continue
+            for basis in bases:
+                lhs = _EXPANDERS[basis](tau, n)
+                for a in splits:
+                    pi = tuple(b for b in tau if b[-1] <= a)
+                    sig = tuple(tuple(x - a for x in b) for b in tau if b[0] > a)
+                    # the slash-product rule at word level: the expansion of
+                    # tau must equal the outer product of the factors' (the
+                    # base-n words of lengths a and n - a concatenate to
+                    # w1 * n**(n - a) + w2), built row by row with the row
+                    # c1 * right made once per value c1; the length guard
+                    # catches a factor list of the wrong length, which the
+                    # outer product would otherwise absorb
+                    left, right = factors[pi][basis], factors[sig][basis]
+                    rows, rhs = {c1: [c1 * c2 for c2 in right] for c1 in set(left)}, []
+                    for c1 in left:
+                        rhs += rows[c1]
+                    lengths = (len(lhs), len(left), len(right))
+                    if lengths != (n**n, n**a, n ** (n - a)) or lhs != rhs:
+                        return fail(f"{basis}: pi={format_set_partition(pi)} "
+                                    f"sig={format_set_partition(sig)}")
     # the structured two-term rules with permutations and on basis elements
     for total in range(2, min(max_size, 5) + 1):
         for a in range(1, total):

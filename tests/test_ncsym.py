@@ -203,10 +203,12 @@ def test_oracle_h_degree_one():
 
 def test_oracle_matches_naive_expansion():
     # k below, at and above the degree: too few variables for some blocks,
-    # exactly enough, and one spare
-    cases = [(n, k) for n in range(5) for k in range(1, n + 2)] + [(5, 2)]
-    for n, k in cases:
-        for basis in "mpeh":
+    # exactly enough, and one spare; then larger words, whose pools spread
+    # over leading, inner and trailing free letters and whose blocks need
+    # not be intervals (h's brute force is too slow there)
+    cases = [(n, k, "mpeh") for n in range(5) for k in range(1, n + 2)] + [(5, 2, "mpeh")]
+    for n, k, bases in cases + [(5, 3, "mpe"), (6, 2, "mpe")]:
+        for basis in bases:
             for pi in set_partitions(n):
                 expr = NCSymExpr.single(basis, pi)
                 assert oracle_expand(expr, k) == naive_expand(basis, pi, k), (basis, pi, k)
@@ -214,18 +216,20 @@ def test_oracle_matches_naive_expansion():
 
 def test_expanders_key_words_by_base_k_integers():
     # the word w_1...w_n is sum over x of (w_x - 1) k^(n - x), which is its
-    # position in the lexicographic order of {1..k}^n
+    # position in the lexicographic order of {1..k}^n and so its index in
+    # the expander's list of k^n coefficients
     for n in range(5):
         for k in range(1, 5):
             words = list(itertools.product(range(1, k + 1), repeat=n))
             for basis in "mpeh":
                 for pi in set_partitions(n):
                     expansion = ncsym._EXPANDERS[basis](pi, k)
-                    assert all(type(w) is int and 0 <= w < k**n for w in expansion)
-                    decoded = NCPoly(k, {words[w]: c for w, c in expansion.items()})
+                    assert type(expansion) is list and len(expansion) == k**n
+                    assert all(type(c) is int for c in expansion)
+                    decoded = NCPoly(k, {words[w]: c for w, c in enumerate(expansion) if c})
                     assert decoded == naive_expand(basis, pi, k), (basis, pi, k)
                     if n == 0:
-                        assert expansion == {0: 1}
+                        assert expansion == [1]
 
 
 def test_oracle_degree_guard():

@@ -2,7 +2,16 @@
 counterexample when the library breaks the identity. The library calls are
 monkeypatched to return wrong answers; the ranges are small."""
 
+import re
+
 from ncschur import ncsym, schur
+from ncschur.combinat import (
+    format_set_partition,
+    parse_set_partition,
+    set_partitions,
+    slash,
+    sp_size,
+)
 from ncschur.verify import suite_iota, suite_prod, suite_rslr
 
 
@@ -40,7 +49,7 @@ def test_prod_catches_a_wrong_schur_shape_list(monkeypatch):
     # the word-level slash check between the two product-rule loops runs at a
     # fixed size; stub its expanders so that this test stays fast
     for basis in ("h", "e", "p"):
-        monkeypatch.setitem(ncsym._EXPANDERS, basis, lambda pi, k: {})
+        monkeypatch.setitem(ncsym._EXPANDERS, basis, lambda pi, k: [0] * k ** sp_size(pi))
     report = suite_prod(max_size=2)
     assert not report.ok
     assert report.counterexample == "s: pi=1 sig=1"
@@ -55,20 +64,61 @@ def test_iota_catches_a_wrong_ribbon_sign(monkeypatch):
 
 
 def test_prod_catches_factor_words_that_collide_when_concatenated(monkeypatch):
-    # words are base-k integers, and at k = 2 a word of length 1 followed by
-    # another is w1 * 2 + w2; the out-of-range digit 2 makes (0, 2) and
-    # (1, 0) concatenate to the same word, so the convolution has fewer
-    # words than pairs of factor words even where the product expansion
-    # matches it as a dict
-    def collide(pi, k):
-        if sum(len(b) for b in pi) == 1:
-            return {0: 1, 1: 1, 2: 1}
-        return {w: 1 for w in range(7)}
+    # an expansion is a list of coefficients indexed by base-k words, so at
+    # k = 2 a factor of degree 1 has 2 entries; with 3 entries the outer
+    # product of two such factors has 9, and a "product" of 9 entries
+    # equals it, so only the length guard catches the wrong words
+    def wrong_length(pi, k):
+        return [1] * 3 ** sp_size(pi)
 
-    factor, product = collide(((1,),), 2), collide(((1,), (2,)), 2)
-    convolution = {w1 * 2 + w2: 1 for w1 in factor for w2 in factor}
-    assert convolution == product and len(convolution) < len(factor) ** 2
-    monkeypatch.setitem(ncsym._EXPANDERS, "h", collide)
+    factor, product = wrong_length(((1,),), 2), wrong_length(((1,), (2,)), 2)
+    assert [c1 * c2 for c1 in factor for c2 in factor] == product
+    monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_length)
     report = suite_prod(max_size=2)
     assert not report.ok
     assert report.counterexample == "h: pi=1 sig=1"
+
+
+def test_prod_checks_the_slash_product_of_every_pair(monkeypatch):
+    # an h expansion that is wrong only on tau = slash(pi, sig) fails the
+    # suite at a split of tau, for every pair of total size <= 4
+    orig = ncsym._EXPANDERS["h"]
+    for n in range(2, 5):
+        for a in range(1, n):
+            for pi in set_partitions(a):
+                for sig in set_partitions(n - a):
+                    tau = slash(pi, sig)
+
+                    def wrong_on_tau(p, k, tau=tau):
+                        words = orig(p, k)
+                        return [c + 1 for c in words] if p == tau else words
+
+                    monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_on_tau)
+                    report = suite_prod(max_size=4)
+                    assert not report.ok, (pi, sig)
+                    found = re.fullmatch(r"h: pi=(\S+) sig=(\S+)", report.counterexample)
+                    assert found, report.counterexample
+                    assert slash(*map(parse_set_partition, found.groups())) == tau
+
+
+def test_prod_compares_tau_at_every_split(monkeypatch):
+    # an h factor f that is wrong only at k = n first fails at the first tau
+    # of set_partitions(n), and its first split, that has f as a factor
+    # (found here through slash, not through the suite's split rule); this
+    # fails if any split of a tau other than its first goes unchecked
+    orig = ncsym._EXPANDERS["h"]
+    for n in range(2, 5):
+        pairs = [(pi, sig) for a in range(1, n) for pi in set_partitions(a)
+                 for sig in set_partitions(n - a)]
+        for f in {pi for pi, _ in pairs}:
+
+            def wrong_factor(p, k, f=f, n=n):
+                words = orig(p, k)
+                return [c + 1 for c in words] if (p, k) == (f, n) else words
+
+            monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_factor)
+            first = next((pi, sig) for tau in set_partitions(n) for pi, sig in pairs
+                         if slash(pi, sig) == tau and f in (pi, sig))
+            report = suite_prod(max_size=4)
+            expected = "h: pi={} sig={}".format(*map(format_set_partition, first))
+            assert report.counterexample == expected, (f, n)
