@@ -95,16 +95,14 @@ class LinearCombination:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def map_terms(self, fn):
-        """Linear extension of an index-to-expression map fn."""
+    def map_terms(self, fn, basis: str):
+        """Linear extension of an index-to-expression map fn whose images
+        are in the given basis (the result's basis, even when it is 0)."""
         out: dict = {}
-        basis = None
         for idx, coeff in self.terms.items():
-            image = fn(idx)
-            basis = image.basis
-            for key, c in image.terms.items():
+            for key, c in fn(idx).terms.items():
                 out[key] = out.get(key, 0) + coeff * c
-        return self._trusted(basis or self.basis, out)
+        return self._trusted(basis, out)
 
     def __add__(self, other):
         if self.basis != other.basis:

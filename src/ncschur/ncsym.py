@@ -265,8 +265,9 @@ def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:
     e-basis."""
     from .schur import standard_schur, transposed_schur
 
-    fn = standard_schur if expr.basis == "s" else transposed_schur
-    return expr.map_terms(fn)
+    if expr.basis == "s":
+        return expr.map_terms(standard_schur, "h")
+    return expr.map_terms(transposed_schur, "e")
 
 
 def to_h(expr: NCSymExpr) -> NCSymExpr:
@@ -399,33 +400,46 @@ def _check_size(basis: str, pi: SetPartition, k: int):
         )
 
 
+def _spread(vals: list[int], letters, target, k: int) -> list[int]:
+    """Weights over the digits of letters (positions, increasing), indexed
+    base k in position order, repeated over the sorted positions target
+    that contain them: run by run from the right, a run of free positions
+    repeats each chunk of k^(positions to its right) entries k^(run length)
+    times."""
+    inside = {i for i, x in enumerate(target, 1) if x in letters}
+    end = len(target)
+    while end > 0:
+        start = end
+        while start and start not in inside:
+            start -= 1
+        if start < end:  # the positions start + 1..end are free
+            chunk, copies, spread = k ** (len(target) - end), k ** (end - start), []
+            for i in range(0, len(vals), chunk):
+                spread += vals[i:i + chunk] * copies
+            vals = spread
+        end = start - 1
+    return vals
+
+
 def _words(n: int, k: int, pools) -> list[int]:
     """The word expansion of degree n over x_1..x_k as a list of k^n
     coefficients: the word w_1...w_n sits at the base-k integer sum over x
     of (w_x - 1) k^(n - x). A pool is a tuple of letters (positions, in
     increasing order) and a list of weights over their digits (letter - 1),
-    indexed the same way. Its weights spread over the other letters run by
-    run from the right: a run of free letters repeats each chunk of
-    k^(letters to its right) entries k^(run length) times. The spread pools
-    multiply; a pool whose weights are all 1 is skipped, and so with no
-    other pool every word has coefficient 1."""
-    out = None
+    indexed the same way. The pools multiply over their joint letters: the
+    product so far and the next pool both spread to the letters covered so
+    far, so each step has k^(letters covered) entries, and the product
+    spreads to 1..n once at the end. A pool whose weights are all 1 is
+    skipped, and so with no other pool every word has coefficient 1."""
+    out, covered = [1], ()
     for letters, vals in pools:
         if vals.count(1) == len(vals):
             continue
-        end = n
-        while end > 0:
-            start = end
-            while start and start not in letters:
-                start -= 1
-            if start < end:  # the letters start + 1..end are free
-                chunk, copies, spread = k ** (n - end), k ** (end - start), []
-                for i in range(0, len(vals), chunk):
-                    spread += vals[i:i + chunk] * copies
-                vals = spread
-            end = start - 1
-        out = vals if out is None else list(map(operator.mul, out, vals))
-    return [1] * k**n if out is None else out
+        joint = tuple(sorted({*covered, *letters}))
+        out = list(map(operator.mul, _spread(out, covered, joint, k),
+                       _spread(vals, letters, joint, k)))
+        covered = joint
+    return _spread(out, covered, range(1, n + 1), k)
 
 
 def _by_blocks(pi: SetPartition, k: int, weights) -> list[int]:

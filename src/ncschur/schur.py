@@ -22,6 +22,7 @@ from .combinat import (
     YoungTableau,
     check_composition,
     check_partition,
+    column_sets,
     column_stabilizer,
     concat,
     contains,
@@ -34,6 +35,7 @@ from .combinat import (
     parts_factorial,
     partitions,
     perm_sign,
+    permute_set_partition,
     permutations,
     ribbon_shape,
     row_equivalence_class,
@@ -91,11 +93,14 @@ def tabloid_schur(t: YoungTableau) -> NCSymExpr:
     of the reading-word actions on the source function of the shape."""
     if not t.shape.is_straight():
         raise ValueError("tabloid Schur functions need a straight shape")
-    base = source_skew_schur(t.shape)
-    out = NCSymExpr.zero("h")
+    base = source_skew_schur(t.shape).terms
+    terms: dict[SetPartition, Fraction] = {}
     for t2 in row_equivalence_class(t):
-        out = out + delta_action(t2.reading_word(), base)
-    return out
+        word = t2.reading_word()
+        for pi, c in base.items():
+            idx = permute_set_partition(word, pi)
+            terms[idx] = terms.get(idx, 0) + c
+    return NCSymExpr._trusted("h", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -240,48 +245,87 @@ def family_rank(family: list[NCSymExpr], n: int) -> int:
 def specht_vector(t: YoungTableau) -> NCSymExpr:
     """The signed column-stabilizer sum applied to the tabloid Schur
     function of t."""
-    base = tabloid_schur(t)
-    out = NCSymExpr.zero("h")
+    # a term with two entries of one column in a block is fixed by their
+    # transposition, which is odd, so its signed sum over the stabilizer is 0
+    cols = column_sets(t)
+    base = {}
+    for pi, c in tabloid_schur(t).terms.items():
+        where = {x: i for i, b in enumerate(pi) for x in b}
+        if all(len({where[x] for x in col}) == len(col) for col in cols):
+            base[pi] = c
+    terms: dict[SetPartition, Fraction] = {}
     for delta in column_stabilizer(t):
-        term = delta_action(delta, base)
-        if perm_sign(delta) < 0:
-            term = -term
-        out = out + term
-    return out
-
-
-def _fillings(lam: Partition):
-    """All bijective fillings of the straight shape lam whose columns
-    increase downwards; the remaining fillings only repeat these vectors up
-    to sign, since sorting a column costs the sign of the sorting
-    permutation."""
-    n = sum(lam)
-    shape = SkewShape(lam, ())
-    for word in itertools.permutations(range(1, n + 1)):
-        rows = []
-        start = 0
-        for p in lam:
-            rows.append(word[start : start + p])
-            start += p
-        ok = True
-        for r in range(1, len(rows)):
-            for c in range(len(rows[r])):
-                if rows[r - 1][c] > rows[r][c]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield YoungTableau(shape, tuple(rows))
+        sign = perm_sign(delta)
+        for pi, c in base.items():
+            idx = permute_set_partition(delta, pi)
+            terms[idx] = terms.get(idx, 0) + sign * c
+    return NCSymExpr._trusted("h", terms)
 
 
 def specht_rank(lam: Partition) -> int:
-    """Dimension of the span of the Specht vectors of shape lam."""
+    """Dimension of the span of the Specht vectors of shape lam, as an
+    orbit closure. Relabelling commutes with the construction, w applied to
+    the Specht vector of t is the Specht vector of w.t (both the row class
+    and the column stabilizer move with the entries), and every
+    column-increasing filling is w.t0 for the row-reading filling t0. So
+    the span is the smallest subspace that holds the vector of t0 and is
+    closed under the adjacent transpositions s_1..s_(n-1). It is built as
+    a reduced echelon basis of h-coordinate rows, pivots taken in
+    basis_order(n): each vector that enlarges the span is moved by every
+    s_i, and a moved vector is kept if it does not reduce to 0."""
     lam = check_partition(lam)
     n = sum(lam)
     if n == 0:
         return 1
-    return family_rank([specht_vector(t) for t in _fillings(lam)], n)
+    ends = list(itertools.accumulate(lam))
+    t0 = YoungTableau(
+        SkewShape(lam, ()),
+        tuple(tuple(range(e - p + 1, e + 1)) for p, e in zip(lam, ends)),
+    )
+    pos = {pi: i for i, pi in enumerate(basis_order(n))}
+    swaps = [
+        tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1)) for i in range(1, n)
+    ]
+    rows: dict[SetPartition, dict[SetPartition, Fraction]] = {}  # pivot -> row
+
+    def add(vec: NCSymExpr) -> bool:
+        # reduce by the basis, whose rows vanish at every other pivot, so
+        # one subtraction per pivot present clears it
+        terms = dict(vec.terms)
+        for pivot in [pi for pi in terms if pi in rows]:
+            c = terms[pivot]
+            for pi, x in rows[pivot].items():
+                terms[pi] = terms.get(pi, 0) - c * x
+        terms = {pi: c for pi, c in terms.items() if c}
+        if not terms:
+            return False
+        pivot = min(terms, key=pos.__getitem__)
+        inv = 1 / terms[pivot]
+        row = {pi: c * inv for pi, c in terms.items()}
+        for other in rows.values():
+            c = other.get(pivot)
+            if c:
+                for pi, x in row.items():
+                    y = other.get(pi, 0) - c * x
+                    if y:
+                        other[pi] = y
+                    else:
+                        del other[pi]
+        rows[pivot] = row
+        return True
+
+    # the queue holds the Specht vectors w.v0 themselves, not their reduced
+    # rows: they are as sparse as v0, the rows fill in, and the accepted
+    # ones span what the rows span
+    v0 = specht_vector(t0)
+    queue = [v0] if add(v0) else []
+    while queue:
+        vec = queue.pop()
+        for s in swaps:
+            moved = delta_action(s, vec)
+            if add(moved):
+                queue.append(moved)
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------

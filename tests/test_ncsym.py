@@ -141,6 +141,17 @@ def test_to_h_round_trips_through_m():
                 assert to_m(g).terms == to_m(f).terms
 
 
+def test_zero_schur_type_expressions_expand_into_h_and_e():
+    # a zero s or s^t expression once kept its basis through the expansion,
+    # so to_m and oracle_expand called themselves without end
+    for basis, target in (("s", "h"), ("st", "e")):
+        zero = NCSymExpr(basis)
+        assert ncsym.to_h_or_e(zero).basis == target
+        assert to_m(zero) == NCSymExpr("m")
+        assert oracle_expand(zero, 2) == NCPoly.zero(2)
+    assert to_h(NCSymExpr("s")).basis == "h"
+
+
 def test_delta_action_example():
     assert delta_action((1, 3, 2), single("h", "12/3")) == single("h", "13/2")
 
@@ -230,6 +241,26 @@ def test_expanders_key_words_by_base_k_integers():
                     assert decoded == naive_expand(basis, pi, k), (basis, pi, k)
                     if n == 0:
                         assert expansion == [1]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_h_words_match_the_words_of_their_monomial_expansion(k):
+    # h multiplies one pool per block, three nontrivial and crossing for
+    # 14/25/36; to_m goes through the coded lattice and m is one joint pool,
+    # so this oracle shares neither route. oracle_expand is linear and only
+    # adds up and decodes these lists, so they are compared directly: the
+    # m side adds each m[sigma] list's nonzero entries, once per sigma
+    m_words = {
+        sig: [(w, c) for w, c in enumerate(ncsym._EXPANDERS["m"](sig, k)) if c]
+        for sig in set_partitions(6)
+    }
+    for pi in set_partitions(6):
+        expected = [0] * k**6
+        for sig, a in to_m(NCSymExpr.single("h", pi)).terms.items():
+            assert a.denominator == 1
+            for w, c in m_words[sig]:
+                expected[w] += a.numerator * c
+        assert ncsym._EXPANDERS["h"](pi, k) == expected, pi
 
 
 def test_oracle_degree_guard():

@@ -5,6 +5,7 @@ import pytest
 
 from ncschur.combinat import (
     SkewShape,
+    YoungTableau,
     parse_perm,
     parse_set_partition,
     partitions,
@@ -43,6 +44,7 @@ from ncschur.schur import (
 )
 from ncschur.sym import SymExpr, jacobi_trudi, littlewood_richardson
 from ncschur.verify import skew_shapes
+from specht_fillings import fillings, specht_rank_oracle
 
 
 def sp(text):
@@ -200,6 +202,32 @@ def test_specht_ranks():
     assert specht_rank((2, 1, 1)) == 0
     assert specht_rank((4,)) == 1
     assert specht_rank((1, 1)) in (0, 1)
+
+
+def test_specht_rank_matches_the_filling_oracle():
+    for n in range(6):
+        for lam in partitions(n):
+            assert specht_rank(lam) == specht_rank_oracle(lam), lam
+
+
+def _relabel(w, t):
+    # the tableau with every entry x replaced by w(x)
+    return YoungTableau(t.shape, tuple(tuple(w[x - 1] for x in row) for row in t.rows))
+
+
+def test_specht_vector_moves_with_its_filling():
+    # w applied to the Specht vector of t is the Specht vector of w.t, with
+    # sign +1: the orbit closure in specht_rank rests on this
+    for n in range(1, 6):
+        swaps = [
+            tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1)) for i in range(1, n)
+        ]
+        moves = list(permutations(n)) if n <= 4 else swaps
+        for lam in partitions(n):
+            for t in fillings(lam):
+                v = specht_vector(t)
+                for w in moves:
+                    assert specht_vector(_relabel(w, t)) == delta_action(w, v), (t, w)
 
 
 def test_rosas_sagan_degree_2():

@@ -11,8 +11,9 @@ from ncschur.combinat import (
     set_partitions,
     slash,
     sp_size,
+    syt_count,
 )
-from ncschur.verify import suite_iota, suite_prod, suite_rslr
+from ncschur.verify import suite_iota, suite_prod, suite_rslr, suite_specht
 
 
 def test_rslr_catches_a_dropped_pair(monkeypatch):
@@ -122,3 +123,16 @@ def test_prod_compares_tau_at_every_split(monkeypatch):
             report = suite_prod(max_size=4)
             expected = "h: pi={} sig={}".format(*map(format_set_partition, first))
             assert report.counterexample == expected, (f, n)
+
+
+def test_specht_catches_a_rank_that_is_neither_0_nor_the_standard_count(monkeypatch):
+    orig = schur.specht_rank
+
+    def one_short(lam):
+        return syt_count(lam) - 1 if lam == (3, 2) else orig(lam)
+
+    monkeypatch.setattr(schur, "specht_rank", one_short)
+    report = suite_specht(5)
+    assert not report.ok
+    assert report.name == "specht"
+    assert report.counterexample == "lam=3.2 rank=4 expected 0 or 5"
