@@ -7,7 +7,6 @@ identities.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -277,11 +276,7 @@ def specht_rank(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
         return 1
-    ends = list(itertools.accumulate(lam))
-    t0 = YoungTableau(
-        SkewShape(lam, ()),
-        tuple(tuple(range(e - p + 1, e + 1)) for p, e in zip(lam, ends)),
-    )
+    t0 = YoungTableau(SkewShape(lam, ()), interval_partition(lam))
     pos = {pi: i for i, pi in enumerate(basis_order(n))}
     swaps = [
         tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1)) for i in range(1, n)
