@@ -184,6 +184,10 @@ def cmd_verify(args) -> int:
     params = inspect.signature(verify.SUITES[args.suite]).parameters
     options = {}
     if args.max_size is not None:
+        if args.max_size < 1:
+            print(f"verify {args.suite}: --max-size must be at least 1, not {args.max_size}",
+                  file=sys.stderr)
+            return 2
         options[next(k for k in SIZE_OPTIONS if k in params)] = args.max_size
     if args.seed is not None:
         if "seed" not in params:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 
 def format_terms(basis: str, items, fmt_index) -> str:
@@ -26,13 +27,23 @@ def format_terms(basis: str, items, fmt_index) -> str:
     return " ".join(pieces)
 
 
+def add_up(pairs) -> dict:
+    """Sum (key, coeff) pairs per key and drop the keys whose sum is 0. Keys
+    and coefficients are used as they come: no zero of another type is added."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
 def _field(obj, name: str, kind, where: str):
-    """obj[name]; obj must be a JSON object with a field of type(s) kind."""
+    """obj[name]; obj must be a JSON object with a field of type(s) kind.
+    A JSON boolean is never of the right type, although bool is an int."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
     if name not in obj:
         raise ValueError(f"{where} has no {name!r} field")
-    if not isinstance(obj[name], kind):
+    if not isinstance(obj[name], kind) or isinstance(obj[name], bool):
         raise ValueError(f"{where} field {name!r} has the wrong type")
     return obj[name]
 
@@ -60,21 +71,18 @@ class LinearCombination:
     def __init__(self, basis: str, terms: dict | None = None):
         if basis not in self.BASES:
             raise ValueError(f"unknown {self.ALGEBRA} basis {basis!r}")
-        coeffs: dict = {}
-        for idx, c in (terms or {}).items():
-            # spellings of one index add up under their checked key
-            key = self.check_index(idx)
-            coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+        # spellings of one index add up under their checked key
+        coeffs = add_up((self.check_index(idx), Fraction(c)) for idx, c in (terms or {}).items())
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {idx: c for idx, c in coeffs.items() if c})
+        object.__setattr__(self, "terms", coeffs)
 
     @classmethod
     def _trusted(cls, basis: str, terms: dict):
-        """Terms already keyed by checked indices (what check_index returns),
-        with Fraction coefficients: only the zero ones are dropped."""
+        """Terms keyed by checked indices (what check_index returns), with
+        nonzero Fraction coefficients as add_up leaves them; kept as given."""
         self = object.__new__(cls)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {idx: c for idx, c in terms.items() if c})
+        object.__setattr__(self, "terms", terms)
         return self
 
     def __setattr__(self, *args):
@@ -96,21 +104,17 @@ class LinearCombination:
         return not self.terms
 
     def map_terms(self, fn, basis: str):
-        """Linear extension of an index-to-expression map fn whose images
-        are in the given basis (the result's basis, even when it is 0)."""
-        out: dict = {}
-        for idx, coeff in self.terms.items():
-            for key, c in fn(idx).terms.items():
-                out[key] = out.get(key, 0) + coeff * c
-        return self._trusted(basis, out)
+        """Linear extension of a map fn from an index to a mapping of
+        checked indices of the given basis (the result's basis, even when
+        it is 0) to Fraction coefficients."""
+        return self._trusted(basis, add_up(
+            (key, coeff * c) for idx, coeff in self.terms.items() for key, c in fn(idx).items()
+        ))
 
     def __add__(self, other):
         if self.basis != other.basis:
             return self.common() + other.common()
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, 0) + c
-        return self._trusted(self.basis, terms)
+        return self._trusted(self.basis, add_up(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return self._trusted(self.basis, {idx: -c for idx, c in self.terms.items()})
@@ -120,7 +124,7 @@ class LinearCombination:
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
-        return self._trusted(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
+        return self._trusted(self.basis, {i: scalar * c for i, c in self.terms.items() if scalar})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -161,18 +165,17 @@ class LinearCombination:
             raise ValueError(
                 f"{cls.__name__} reads algebra {cls.ALGEBRA!r}, not {algebra!r}"
             )
-        terms: dict = {}
+        pairs = []
         for i, t in enumerate(raw_terms):
             where = f"terms[{i}]"
             idx = cls.parse_index(_field(t, "index", str, where))
             # a JSON float is inexact: take an integer or a string such as "1/3"
             coeff = _field(t, "coeff", (int, str), where)
             try:
-                coeff = Fraction(coeff)
+                pairs.append((idx, Fraction(coeff)))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{where} field 'coeff' is not a rational") from None
-            terms[idx] = terms.get(idx, Fraction(0)) + coeff
-        return cls(_field(data, "basis", str, "payload"), terms)
+        return cls(_field(data, "basis", str, "payload"), add_up(pairs))
 
     def __str__(self):
         label = self.LABELS.get(self.basis, self.basis)

@@ -11,6 +11,7 @@ sequence; the tail carries no data.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
 from .combinat import (
@@ -33,10 +34,9 @@ class LatticePath(NamedTuple):
         return self.start_x + len(self.heights)
 
     def x_range(self, y: int) -> tuple[int, int]:
-        """The x-extent [lo, hi] occupied at height y."""
-        lo = self.start_x + sum(1 for h in self.heights if h < y)
-        hi = self.start_x + sum(1 for h in self.heights if h <= y)
-        return lo, hi
+        """The x-extent [lo, hi] occupied at height y; heights are sorted."""
+        return (self.start_x + bisect_left(self.heights, y),
+                self.start_x + bisect_right(self.heights, y))
 
     def visits(self, x: int, y: int) -> bool:
         lo, hi = self.x_range(y)
@@ -130,9 +130,8 @@ def common_points(p: LatticePath, q: LatticePath) -> list[tuple[int, int]]:
     top = max([1, *p.heights, *q.heights]) + 1
     out = []
     for y in range(1, top + 1):
-        lo = max(p.x_range(y)[0], q.x_range(y)[0])
-        hi = min(p.x_range(y)[1], q.x_range(y)[1])
-        out.extend((x, y) for x in range(lo, hi + 1))
+        (p_lo, p_hi), (q_lo, q_hi) = p.x_range(y), q.x_range(y)
+        out.extend((x, y) for x in range(max(p_lo, q_lo), min(p_hi, q_hi) + 1))
     if p.end_x == q.end_x:
         # tails coincide from height `top` upward; one witness is enough
         out.append((p.end_x, top + 1))

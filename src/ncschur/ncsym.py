@@ -34,7 +34,7 @@ from .combinat import (
     multiplicity_factorial,
     upper_interval,
 )
-from .expr_format import LinearCombination
+from .expr_format import LinearCombination, add_up
 from .ncpoly import NCPoly
 from .sym import SymExpr
 
@@ -262,12 +262,10 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
 
 def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:
     """Expand the Schur-type bases: "s" into the h-basis, "st" into the
-    e-basis."""
-    from .schur import standard_schur, transposed_schur
+    e-basis with the same coefficients."""
+    from .schur import standard_schur
 
-    if expr.basis == "s":
-        return expr.map_terms(standard_schur, "h")
-    return expr.map_terms(transposed_schur, "e")
+    return expr.map_terms(lambda pi: standard_schur(pi).terms, "h" if expr.basis == "s" else "e")
 
 
 def to_h(expr: NCSymExpr) -> NCSymExpr:
@@ -286,12 +284,9 @@ def product(f: NCSymExpr, g: NCSymExpr) -> NCSymExpr:
     slash product; everything else routes through the h-basis and converts
     back."""
     if f.basis == g.basis and f.basis in ("p", "e", "h"):
-        terms: dict[SetPartition, Fraction] = {}
-        for pi, c1 in f.terms.items():
-            for sig, c2 in g.terms.items():
-                idx = slash(pi, sig)
-                terms[idx] = terms.get(idx, Fraction(0)) + c1 * c2
-        return NCSymExpr._trusted(f.basis, terms)
+        return NCSymExpr._trusted(f.basis, add_up(
+            (slash(pi, sig), c1 * c2) for pi, c1 in f.terms.items() for sig, c2 in g.terms.items()
+        ))
     prod_h = product(to_h(f), to_h(g))
     if f.basis == g.basis == "m":
         return to_m(prod_h)
@@ -328,19 +323,13 @@ def delta_action(delta: Perm, expr: NCSymExpr) -> NCSymExpr:
     """Relabel every index by the permutation. Defined on the m/p/e/h bases."""
     if expr.basis not in ("m", "p", "e", "h"):
         raise ValueError("the permutation action needs an m/p/e/h expression")
-    terms: dict[SetPartition, Fraction] = {}
-    for pi, c in expr.terms.items():
-        idx = permute_set_partition(delta, pi)
-        terms[idx] = terms.get(idx, Fraction(0)) + c
-    return NCSymExpr._trusted(expr.basis, terms)
+    return NCSymExpr._trusted(expr.basis, add_up(
+        (permute_set_partition(delta, pi), c) for pi, c in expr.terms.items()
+    ))
 
 
-_RHO_SCALE = {
-    "m": lambda lam: multiplicity_factorial(lam),
-    "p": lambda lam: 1,
-    "e": lambda lam: parts_factorial(lam),
-    "h": lambda lam: parts_factorial(lam),
-}
+_RHO_SCALE = {"m": multiplicity_factorial, "p": lambda lam: 1, "e": parts_factorial,
+              "h": parts_factorial}
 
 
 def rho(expr: NCSymExpr) -> SymExpr:
@@ -348,11 +337,9 @@ def rho(expr: NCSymExpr) -> SymExpr:
     if expr.basis in ("s", "st"):
         return rho(to_h_or_e(expr))
     scale = _RHO_SCALE[expr.basis]
-    terms: dict = {}
-    for pi, c in expr.terms.items():
-        lam = shape_of(pi)
-        terms[lam] = terms.get(lam, Fraction(0)) + c * scale(lam)
-    return SymExpr(expr.basis, terms)
+    return SymExpr._trusted(expr.basis, add_up(
+        (lam, c * scale(lam)) for pi, c in expr.terms.items() for lam in [shape_of(pi)]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +360,16 @@ def coproduct(expr: NCSymExpr, i: int | None = None) -> dict:
     its blocks, both sides standardized. Returns a map
     (left index, right index) -> coefficient, restricted to left degree i
     when i is given."""
-    expr_m = to_m(expr)
-    out: dict[tuple[SetPartition, SetPartition], Fraction] = {}
-    for pi, coeff in expr_m.terms.items():
-        ell = len(pi)
-        for picks in itertools.product((0, 1), repeat=ell):
-            left = tuple(b for b, take in zip(pi, picks) if take)
-            right = tuple(b for b, take in zip(pi, picks) if not take)
-            if i is not None and sum(len(b) for b in left) != i:
-                continue
-            key = (standardize(left), standardize(right))
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
+    splits = (
+        (tuple(b for b, take in zip(pi, picks) if take),
+         tuple(b for b, take in zip(pi, picks) if not take), coeff)
+        for pi, coeff in to_m(expr).terms.items()
+        for picks in itertools.product((0, 1), repeat=len(pi))
+    )
+    return add_up(
+        ((standardize(left), standardize(right)), coeff)
+        for left, right, coeff in splits if i is None or sum(map(len, left)) == i
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +505,13 @@ def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
         _check_size(expr.basis, pi, k)
     if expr.basis in ("s", "st"):
         return oracle_expand(to_h_or_e(expr), k)
-    by_degree: dict[int, dict] = {}
-    for pi, coeff in expr.terms.items():
-        words = by_degree.setdefault(sp_size(pi), {})
-        for w, c in enumerate(_EXPANDERS[expr.basis](pi, k)):
-            if c:
-                words[w] = words.get(w, 0) + coeff * c
+    words = add_up(
+        ((n, w), coeff * c)
+        for pi, coeff in expr.terms.items() for n in [sp_size(pi)]
+        for w, c in enumerate(_EXPANDERS[expr.basis](pi, k)) if c
+    )
     return NCPoly(k, {
-        tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): c
-        for n, words in by_degree.items() for w, c in words.items()
+        tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): c for (n, w), c in words.items()
     })
 
 

@@ -7,6 +7,8 @@ identities.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -45,6 +47,7 @@ from .combinat import (
     sp_size,
     ssyt,
 )
+from .expr_format import add_up
 from .ncpoly import NCPoly
 from .ncsym import NCSymExpr, basis_order, coproduct, delta_action, to_h, to_m
 # littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
@@ -58,11 +61,11 @@ def source_skew_schur(shape: SkewShape) -> NCSymExpr:
     """The source skew Schur function on a skew shape, in the h-basis: the
     noncommutative determinant with entries h on single intervals scaled by
     reciprocal factorials, expanded in row order from the top."""
-    terms: dict[SetPartition, Fraction] = {}
-    for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner):
-        pi = interval_partition(tuple(c for c in entries if c))
-        terms[pi] = terms.get(pi, Fraction(0)) + Fraction(sign, parts_factorial(entries))
-    return NCSymExpr._trusted("h", terms)
+    return NCSymExpr._trusted("h", add_up(
+        (interval_partition(tuple(c for c in entries if c)),
+         Fraction(sign, parts_factorial(entries)))
+        for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner)
+    ))
 
 
 def skew_schur_nc(delta: Perm, shape: SkewShape) -> NCSymExpr:
@@ -93,13 +96,11 @@ def tabloid_schur(t: YoungTableau) -> NCSymExpr:
     if not t.shape.is_straight():
         raise ValueError("tabloid Schur functions need a straight shape")
     base = source_skew_schur(t.shape).terms
-    terms: dict[SetPartition, Fraction] = {}
-    for t2 in row_equivalence_class(t):
-        word = t2.reading_word()
-        for pi, c in base.items():
-            idx = permute_set_partition(word, pi)
-            terms[idx] = terms.get(idx, 0) + c
-    return NCSymExpr._trusted("h", terms)
+    return NCSymExpr._trusted("h", add_up(
+        (permute_set_partition(word, pi), c)
+        for word in map(YoungTableau.reading_word, row_equivalence_class(t))
+        for pi, c in base.items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +253,11 @@ def specht_vector(t: YoungTableau) -> NCSymExpr:
         where = {x: i for i, b in enumerate(pi) for x in b}
         if all(len({where[x] for x in col}) == len(col) for col in cols):
             base[pi] = c
-    terms: dict[SetPartition, Fraction] = {}
-    for delta in column_stabilizer(t):
-        sign = perm_sign(delta)
-        for pi, c in base.items():
-            idx = permute_set_partition(delta, pi)
-            terms[idx] = terms.get(idx, 0) + sign * c
-    return NCSymExpr._trusted("h", terms)
+    return NCSymExpr._trusted("h", add_up(
+        (permute_set_partition(delta, pi), sign * c)
+        for delta in column_stabilizer(t) for sign in [perm_sign(delta)]
+        for pi, c in base.items()
+    ))
 
 
 def specht_rank(lam: Partition) -> int:
@@ -332,7 +331,8 @@ def rosas_sagan(shape: SkewShape) -> NCSymExpr:
     over all set partitions of that shape."""
     n = shape.size
     coeff = {nu: Fraction(parts_factorial(nu) * kostka(shape, nu)) for nu in partitions(n)}
-    return NCSymExpr._trusted("m", {pi: coeff[shape_of(pi)] for pi in set_partitions(n)})
+    terms = {pi: c for pi in set_partitions(n) if (c := coeff[shape_of(pi)])}
+    return NCSymExpr._trusted("m", terms)
 
 
 def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:
@@ -340,15 +340,13 @@ def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:
     over all orderings of the boxes (row reading order composed with a
     permutation) and all semistandard fillings with entries at most k."""
     n = shape.size
-    tableaux = ssyt(shape, k)
-    terms: dict = {}
-    for delta in permutations(n):
-        for t in tableaux:
-            content = t.content_word()
-            word = tuple(content[delta[j] - 1] for j in range(n))
-            terms[word] = terms.get(word, Fraction(0)) + 1
+    contents = [t.content_word() for t in ssyt(shape, k)]
+    # a Counter tallies the words, so this shares no code with add_up
+    terms = Counter(
+        tuple(content[d - 1] for d in delta) for delta in permutations(n) for content in contents
+    )
     if n == 0:
-        terms[()] = Fraction(1)
+        terms[()] = 1
     return NCPoly(k, terms)
 
 
@@ -356,8 +354,9 @@ def rs_refinement_check(shape: SkewShape) -> bool:
     """Whether the sum of the permuted skew Schur functions over all box
     orderings equals the Rosas-Sagan function."""
     base = source_skew_schur(shape)
-    total = sum((delta_action(d, base) for d in permutations(shape.size)), NCSymExpr.zero("h"))
-    return to_m(total) == rosas_sagan(shape)
+    total = add_up(pair for d in permutations(shape.size)
+                   for pair in delta_action(d, base).terms.items())
+    return to_m(NCSymExpr._trusted("h", total)) == rosas_sagan(shape)
 
 
 def rs_lr_expand(shape: SkewShape):
@@ -368,16 +367,6 @@ def rs_lr_expand(shape: SkewShape):
     return sorted(lr_coefficients(shape).items(), reverse=True)
 
 
-def _tensor_of(expr_left: NCSymExpr, expr_right: NCSymExpr, scalar=1) -> dict:
-    left = to_m(expr_left)
-    right = to_m(expr_right)
-    out = {}
-    for p1, c1 in left.terms.items():
-        for p2, c2 in right.terms.items():
-            out[(p1, p2)] = out.get((p1, p2), Fraction(0)) + Fraction(scalar) * c1 * c2
-    return out
-
-
 def rs_coproduct_check(lam: Partition, i: int) -> bool:
     """Whether the coproduct of a straight Rosas-Sagan function in bidegree
     (i, n-i) equals the binomial-weighted sum of tensor products over
@@ -386,20 +375,13 @@ def rs_coproduct_check(lam: Partition, i: int) -> bool:
     n = sum(lam)
     if not 0 <= i <= n:
         raise ValueError(f"bidegree {i} out of range for size {n}")
-    lhs = coproduct(rosas_sagan(SkewShape(lam, ())), i)
-    rhs: dict = {}
-    for mu in partitions(i):
-        if not contains(lam, mu):
-            continue
-        piece = _tensor_of(
-            rosas_sagan(SkewShape(mu, ())),
-            rosas_sagan(skew(lam, mu)),
-            comb(n, i),
-        )
-        for key, c in piece.items():
-            rhs[key] = rhs.get(key, Fraction(0)) + c
-    rhs = {k: v for k, v in rhs.items() if v}
-    return lhs == rhs
+    # the coproduct is in m-basis pairs, and rosas_sagan is in the m-basis
+    return coproduct(rosas_sagan(SkewShape(lam, ())), i) == add_up(
+        ((p1, p2), comb(n, i) * c1 * c2)
+        for mu in partitions(i) if contains(lam, mu)
+        for (p1, c1), (p2, c2) in itertools.product(rosas_sagan(SkewShape(mu, ())).terms.items(),
+                                                    rosas_sagan(skew(lam, mu)).terms.items())
+    )
 
 
 def skew_kostka_check(shape: SkewShape, pairs) -> bool:

@@ -27,7 +27,7 @@ from .combinat import (
     sort_to_partition,
     transpose,
 )
-from .expr_format import LinearCombination
+from .expr_format import LinearCombination, add_up
 from .ncpoly import CPoly
 
 
@@ -52,11 +52,7 @@ class SymExpr(LinearCombination):
     def to_m(self) -> "SymExpr":
         if self.basis == "m":
             return self
-        terms: dict[Partition, Fraction] = {}
-        for lam, coeff in self.terms.items():
-            for gam, k in _index_to_m(self.basis, lam).items():
-                terms[gam] = terms.get(gam, Fraction(0)) + coeff * k
-        return SymExpr("m", terms)
+        return self.map_terms(lambda lam: _index_to_m(self.basis, lam), "m")
 
     def to_s(self) -> "SymExpr":
         if self.basis == "s":
@@ -121,16 +117,13 @@ def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction]:
 
 
 def expand(expr: SymExpr, k: int) -> CPoly:
-    """Exact truncation of the expression to k commuting variables."""
-    out = CPoly.zero(k)
-    for lam, coeff in expr.to_m().terms.items():
-        if len(lam) > k:
-            continue
-        terms = {}
-        for perm in set(itertools.permutations(lam + (0,) * (k - len(lam)))):
-            terms[perm] = Fraction(1)
-        out = out + CPoly(k, terms).scale(coeff)
-    return out
+    """Exact truncation of the expression to k commuting variables: m_lam
+    is the sum of the distinct rearrangements of lam padded to length k."""
+    return CPoly(k, {
+        expo: coeff
+        for lam, coeff in expr.to_m().terms.items() if len(lam) <= k
+        for expo in set(itertools.permutations(lam + (0,) * (k - len(lam))))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +138,16 @@ def _m_times_m(mu: Partition, nu: Partition) -> dict[Partition, Fraction]:
 
 def product(f: SymExpr, g: SymExpr) -> SymExpr:
     if f.basis == g.basis and f.basis in "peh":
-        terms: dict[Partition, Fraction] = {}
-        for lam, c1 in f.terms.items():
-            for mu, c2 in g.terms.items():
-                idx = sort_to_partition(lam + mu)
-                terms[idx] = terms.get(idx, Fraction(0)) + c1 * c2
-        return SymExpr(f.basis, terms)
+        return SymExpr._trusted(f.basis, add_up(
+            (sort_to_partition(lam + mu), c1 * c2)
+            for lam, c1 in f.terms.items() for mu, c2 in g.terms.items()
+        ))
     fm, gm = f.to_m(), g.to_m()
-    terms = {}
-    for mu, c1 in fm.terms.items():
-        for nu, c2 in gm.terms.items():
-            for lam, k in _m_times_m(mu, nu).items():
-                terms[lam] = terms.get(lam, Fraction(0)) + c1 * c2 * k
-    return SymExpr("m", terms)
+    return SymExpr._trusted("m", add_up(
+        (lam, c1 * c2 * k)
+        for mu, c1 in fm.terms.items() for nu, c2 in gm.terms.items()
+        for lam, k in _m_times_m(mu, nu).items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +162,9 @@ def jacobi_trudi(shape: SkewShape, flavor: str = "h") -> SymExpr:
         outer, inner = shape.outer, shape.inner
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    terms: dict[Partition, Fraction] = {}
-    for sign, entries in jacobi_trudi_terms(outer, inner):
-        idx = sort_to_partition(entries)
-        terms[idx] = terms.get(idx, Fraction(0)) + sign
-    return SymExpr(flavor, terms)
+    terms = add_up((sort_to_partition(entries), sign)
+                   for sign, entries in jacobi_trudi_terms(outer, inner))
+    return SymExpr._trusted(flavor, {idx: Fraction(c) for idx, c in terms.items()})
 
 
 def m_to_s(expr: SymExpr) -> SymExpr:

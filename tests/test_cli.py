@@ -203,6 +203,13 @@ def test_verify_max_size_reaches_the_suites_own_keyword(capsys):
     assert "shapes of size <= 2" in out
 
 
+@pytest.mark.parametrize("suite, size", [("deltaact", "0"), ("prod", "-1")])
+def test_verify_max_size_below_one_is_a_usage_error(capsys, suite, size):
+    code, out, err = run(capsys, "verify", suite, "--max-size", size)
+    assert (code, out) == (2, "")
+    assert f"verify {suite}: --max-size must be at least 1" in err
+
+
 def test_verify_rejects_a_seed_the_suite_does_not_take(capsys):
     code, out, err = run(capsys, "verify", "iota", "--seed", "3")
     assert code == 2
@@ -271,6 +278,8 @@ def test_every_suite_has_exactly_one_size_keyword(capsys):
         ('{"basis": "h", "terms": [{"index": "1", "coeff": "x"}]}', "'coeff' is not a"),
         ('{"basis": "h", "terms": [{"index": "1", "coeff": 0.1}]}', "'coeff' has the wrong"),
         ('{"basis": "h", "terms": [{"index": "1", "coeff": [2]}]}', "'coeff' has the wrong"),
+        ('{"basis": "h", "terms": [{"index": "12", "coeff": true}]}', "'coeff' has the wrong"),
+        ('{"basis": "h", "terms": [{"index": "12", "coeff": false}]}', "'coeff' has the wrong"),
     ],
 )
 def test_malformed_expr_payload_is_a_usage_error(capsys, payload, message):

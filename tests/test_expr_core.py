@@ -1,17 +1,20 @@
 """The linear-combination core shared by SymExpr, NCSymExpr and NSymExpr:
-equality and hashing across bases, basis validation, and the JSON
+add_up, equality and hashing across bases, basis validation, and the JSON
 boundary."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from ncschur.cli import main
-from ncschur.combinat import parse_set_partition
-from ncschur.ncsym import NCSymExpr
-from ncschur.nsym import NSymExpr
-from ncschur.sym import SymExpr
+from ncschur.combinat import SkewShape, parse_set_partition, tableau
+from ncschur.expr_format import add_up
+from ncschur.ncsym import NCSymExpr, delta_action, rho
+from ncschur.nsym import NSymExpr, chi, iota
+from ncschur.schur import rosas_sagan, source_skew_schur, tabloid_schur
+from ncschur.sym import SymExpr, jacobi_trudi
 
 
 def payload(algebra, basis, *terms):
@@ -128,3 +131,59 @@ def test_to_json_bytes():
         '{"index": "3", "coeff": "1"}]}'
     )
     assert str(NCSymExpr.single("st", parse_set_partition("12"), -1)) == "-s^t[12]"
+
+
+PAIRS = [
+    ("a", Fraction(1, 2)),
+    ("b", Fraction(1)),
+    ("a", Fraction(-1, 2)),
+    ("c", Fraction(2, 3)),
+    ("b", Fraction(1, 3)),
+]
+
+
+def test_add_up_does_not_depend_on_pair_order():
+    for order in itertools.permutations(PAIRS):
+        assert add_up(iter(order)) == {"b": Fraction(4, 3), "c": Fraction(2, 3)}
+
+
+def test_add_up_drops_zero_sums():
+    assert add_up([("z", Fraction(0))]) == {}
+    assert add_up([("z", Fraction(1, 3)), ("y", 2), ("z", Fraction(-1, 3))]) == {"y": 2}
+
+
+def test_add_up_leaves_keys_as_they_come():
+    # two spellings of one set partition stay two keys; __init__ canonicalizes
+    pairs = [(((2,), (1,)), Fraction(1)), (((1,), (2,)), Fraction(2))]
+    assert add_up(pairs) == dict(pairs)
+    assert NCSymExpr("m", dict(pairs)).terms == {((1,), (2,)): Fraction(3)}
+
+
+@pytest.mark.parametrize("cls", [SymExpr, NCSymExpr, NSymExpr])
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_from_json_rejects_a_boolean_coeff(cls, flag):
+    text = f'{{"basis": "{cls.BASES[0]}", "terms": [{{"index": "1", "coeff": {flag}}}]}}'
+    with pytest.raises(ValueError, match=r"terms\[0\] field 'coeff' has the wrong type"):
+        cls.from_json(text)
+
+
+def test_library_results_have_nonzero_fraction_coefficients():
+    f = NCSymExpr("h", {parse_set_partition("13/2"): 2, parse_set_partition("1/23"): 1})
+    shape = SkewShape((3, 2), (1,))
+    results = [
+        rho(f),
+        rho(NCSymExpr.single("m", parse_set_partition("13/2"))),
+        delta_action((2, 1, 3), f),
+        f * f,
+        jacobi_trudi(shape),
+        jacobi_trudi(shape, "e"),
+        iota(NSymExpr.single("R", (1, 2))),
+        chi(NSymExpr.single("S", (2, 1))),
+        source_skew_schur(shape),
+        tabloid_schur(tableau(SkewShape((2, 1), ()), [(1, 2), (3,)])),
+        rosas_sagan(SkewShape((2, 1), ())),  # K[21, 3] = 0
+    ]
+    for expr in results:
+        assert expr.terms, expr
+        assert all(type(c) is Fraction and c for c in expr.terms.values()), expr
+    assert f.scale(0).is_zero()

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ncschur.combinat import SkewShape, perm_compose, skew, ssyt
@@ -41,6 +43,20 @@ def test_path_geometry():
     assert p.x_range(3) == (2, 3)
     assert p.visits(2, 2)
     assert not p.visits(0, 3)
+
+
+def test_x_range_matches_counting_east_steps():
+    # lo counts the east steps below y, hi those at or below y
+    for r in range(5):
+        for heights in itertools.combinations_with_replacement(range(1, 5), r):
+            for start in (0, 2):
+                p = path(start, heights)
+                for y in range(7):
+                    lo = start + sum(1 for h in heights if h < y)
+                    hi = start + sum(1 for h in heights if h <= y)
+                    assert p.x_range(y) == (lo, hi), (p, y)
+                    for x in range(start - 1, start + r + 2):
+                        assert p.visits(x, y) == (lo <= x <= hi), (p, x, y)
 
 
 def test_path_tuple_start_and_end_validation():
