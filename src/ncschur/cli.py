@@ -25,7 +25,7 @@ from .combinat import (
     parse_skew,
     tableau,
 )
-from .ncsym import NCSymExpr, delta_action, from_m, omega, oracle_expand, rho, to_m
+from .ncsym import NCSymExpr, delta_action, from_m, omega, oracle_expand, rho, to_h, to_m
 
 # the size keywords of the verify suites; each suite takes exactly one
 SIZE_OPTIONS = ("max_size", "max_n", "max_degree")
@@ -75,6 +75,8 @@ def cmd_convert(args) -> int:
         from . import schur
 
         out = schur.schur_basis_convert(expr, "s")
+    elif args.to == "h":
+        out = to_h(expr)
     else:
         out = from_m(to_m(expr), args.to)
     _emit(args, out)
@@ -84,20 +86,19 @@ def cmd_convert(args) -> int:
 def cmd_schur(args) -> int:
     from . import schur
 
-    if args.tabloid:
+    if args.transpose and args.pi is None:
+        raise ValueError("schur: --transpose needs --pi")
+    if args.delta is not None and args.shape is None:
+        raise ValueError("schur: --delta needs --shape")
+    if args.tabloid is not None:
         out = schur.tabloid_schur(_parse_tableau_rows(args.tabloid))
     elif args.pi is not None:
         pi = parse_set_partition(args.pi)
         out = schur.transposed_schur(pi) if args.transpose else schur.standard_schur(pi)
-    elif args.shape is not None:
-        shape = parse_skew(args.shape)
-        if args.delta:
-            out = schur.skew_schur_nc(parse_perm(args.delta), shape)
-        else:
-            out = schur.source_skew_schur(shape)
+    elif args.delta is not None:
+        out = schur.skew_schur_nc(parse_perm(args.delta), parse_skew(args.shape))
     else:
-        print("schur: need one of --pi, --shape, --tabloid", file=sys.stderr)
-        return 2
+        out = schur.source_skew_schur(parse_skew(args.shape))
     _emit(args, out)
     return 0
 
@@ -224,11 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("schur", help="Schur elements in the h- or e-basis")
-    p.add_argument("--pi", help="set partition index")
-    p.add_argument("--transpose", action="store_true", help="transposed element")
-    p.add_argument("--shape", help="skew shape such as 3.2.2.1/2.1")
-    p.add_argument("--delta", help="permutation acting on the source function")
-    p.add_argument("--tabloid", help="tableau rows such as 12/3")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pi", help="set partition index")
+    which.add_argument("--shape", help="skew shape such as 3.2.2.1/2.1")
+    which.add_argument("--tabloid", help="tableau rows such as 12/3")
+    p.add_argument("--transpose", action="store_true", help="transposed element (with --pi)")
+    p.add_argument("--delta", help="permutation acting on the source function (with --shape)")
     p.set_defaults(fn=cmd_schur)
 
     p = sub.add_parser("multiply", help="product of two basis elements")

@@ -2,17 +2,20 @@
 bases, Jacobi-Trudi determinants, Kostka numbers and Littlewood-Richardson
 coefficients.
 
-Basis changes route through the monomial basis. A function in a
-multiplicative basis is expanded exactly by multiplying out its generators
-as polynomials in deg-many variables, which is faithful for the monomial
-functions that can occur.
+Basis changes route through the monomial basis, where every structure
+constant is a count: the coefficient of m_lam in m_mu m_nu is the number of
+ways to split the exponent vector lam into rearrangements of mu and nu, and
+h/e/p_lam is a product of monomial functions. Schur functions expand by
+Kostka numbers. No result is computed with polynomial arithmetic; expand
+is the bridge to that oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from .combinat import (
     Partition,
@@ -63,57 +66,35 @@ class SymExpr(LinearCombination):
 # ---------------------------------------------------------------------------
 # monomial expansions
 
-def _generator_cpoly(basis: str, r: int, k: int) -> CPoly:
-    """The degree-r generator of a multiplicative basis in k variables."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    if basis == "p":
-        for i in range(k):
-            expo = [0] * k
-            expo[i] = r
-            terms[tuple(expo)] = Fraction(1)
-    elif basis == "e":
-        for support in itertools.combinations(range(k), r):
-            expo = [0] * k
-            for i in support:
-                expo[i] = 1
-            terms[tuple(expo)] = Fraction(1)
-    elif basis == "h":
-        for multi in itertools.combinations_with_replacement(range(k), r):
-            expo = [0] * k
-            for i in multi:
-                expo[i] += 1
-            terms[tuple(expo)] = Fraction(1)
-    else:
-        raise ValueError(basis)
-    return CPoly(k, terms)
+def _takes(left: tuple[int, ...], parts: Partition):
+    """The distinct rearrangements of parts, padded with zeros to
+    len(left), that fit under left entry by entry: filled one position at
+    a time from the multiset of parts still left over."""
+    pool = Counter(parts + (0,) * (len(left) - len(parts)))
 
+    def fill(i: int):
+        if i == len(left):
+            yield ()
+            return
+        for v, c in pool.items():
+            if c and v <= left[i]:
+                pool[v] -= 1
+                yield from ((v,) + rest for rest in fill(i + 1))
+                pool[v] += 1
 
-def _extract_m(poly: CPoly, k: int) -> dict[Partition, Fraction]:
-    """Read off monomial-basis coefficients from a symmetric polynomial in
-    k variables: the coefficient of m_gam is that of x^gam."""
-    out = {}
-    for expo, coeff in poly.terms.items():
-        gam = sort_to_partition(expo)
-        if tuple(gam) + (0,) * (k - len(gam)) == expo:
-            out[gam] = coeff
-    return out
+    return fill(0) if len(parts) <= len(left) else iter(())
 
 
 @cache
 def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction]:
-    n = sum(lam)
-    if n == 0:
-        return {(): Fraction(1)}
+    """Kostka numbers for s_lam; h/e/p_lam is the product over lam's parts
+    r of h_r = the sum of m_mu over mu |- r, e_r = m_(1^r) and p_r = m_(r)."""
     if basis == "s":
-        return {
-            gam: Fraction(k)
-            for gam in partitions(n)
-            if (k := kostka(SkewShape(lam, ()), gam))
-        }
-    poly = CPoly.one(n)
-    for r in lam:
-        poly = poly * _generator_cpoly(basis, r, n)
-    return _extract_m(poly, n)
+        return {gam: Fraction(k) for gam in partitions(sum(lam))
+                if (k := kostka(SkewShape(lam, ()), gam))}
+    gens = {"h": partitions, "e": lambda r: [(1,) * r], "p": lambda r: [(r,)]}
+    return reduce(product, (SymExpr._trusted("m", dict.fromkeys(gens[basis](r), Fraction(1)))
+                            for r in lam), SymExpr.one("m")).terms
 
 
 def expand(expr: SymExpr, k: int) -> CPoly:
@@ -131,9 +112,14 @@ def expand(expr: SymExpr, k: int) -> CPoly:
 
 @cache
 def _m_times_m(mu: Partition, nu: Partition) -> dict[Partition, Fraction]:
-    k = max(sum(mu) + sum(nu), 1)
-    prod = expand(SymExpr.single("m", mu), k) * expand(SymExpr.single("m", nu), k)
-    return _extract_m(prod, k)
+    """The coefficient of m_lam in m_mu m_nu is that of x^lam: the number of
+    rearrangements a of mu under lam whose rest lam - a rearranges nu."""
+    out = {}
+    for lam in partitions(sum(mu) + sum(nu)):
+        if k := sum(sort_to_partition(x - y for x, y in zip(lam, a)) == nu
+                    for a in _takes(lam, mu)):
+            out[lam] = Fraction(k)
+    return out
 
 
 def product(f: SymExpr, g: SymExpr) -> SymExpr:

@@ -42,10 +42,33 @@ def test_schur_tabloid(capsys):
     assert out.strip() == "h[12/3] - 1/3 h[123]"
 
 
+def usage_error(capsys, *argv):
+    """The exit code and stderr of a command that argparse or the command
+    itself rejects."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 def test_schur_without_index_is_usage_error(capsys):
-    code, _, err = run(capsys, "schur")
+    code, err = usage_error(capsys, "schur")
     assert code == 2
     assert "schur" in err
+
+
+@pytest.mark.parametrize("argv, options", [
+    (("--pi", "13/2", "--shape", "2.1"), ("--pi", "--shape")),
+    (("--pi", "13/2", "--tabloid", "12/3"), ("--pi", "--tabloid")),
+    (("--shape", "2.1", "--transpose"), ("--transpose", "--pi")),
+    (("--tabloid", "12/3", "--transpose"), ("--transpose", "--pi")),
+    (("--pi", "13/2", "--delta", "132"), ("--delta", "--shape")),
+])
+def test_schur_rejects_an_option_it_would_ignore(capsys, argv, options):
+    code, err = usage_error(capsys, "schur", *argv)
+    assert code == 2
+    assert all(option in err for option in options)
 
 
 def test_expand_to_monomials(capsys):
@@ -81,6 +104,30 @@ def test_convert_round_trip(capsys):
     code, out, _ = run(capsys, "convert", "--basis", "h", "--index", "13/2", "--to", "s")
     assert code == 0
     assert out.strip() == "2 s[13/2] + 2 s[123]"
+
+
+def test_convert_to_h_expands_a_schur_index_of_degree_10(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "convert", "--basis", "s", "--index", "1,10/2/3/4/5/6/7/8/9",
+                       "--to", "h")
+    assert code == 0
+    assert out.startswith("1/2 h[1,10/2/3/4/5/6/7/8/9] - 1/4 h[1,10/2/3/4/5/6/7/8,9] ")
+    assert out.count("[") == out.count(" h[")
+    assert time.perf_counter() - start < 5
+
+
+def test_convert_to_h_prints_the_monomial_round_trip(capsys):
+    from ncschur.combinat import format_set_partition, set_partitions
+    from ncschur.ncsym import NCSymExpr, from_m, to_m
+
+    for basis in NCSymExpr.BASES:
+        for n in range(5):
+            for pi in set_partitions(n):
+                index = format_set_partition(pi)
+                code, out, _ = run(capsys, "convert", "--basis", basis, "--index", index,
+                                   "--to", "h")
+                assert code == 0
+                assert out == f"{from_m(to_m(NCSymExpr.single(basis, pi)), 'h')}\n", (basis, index)
 
 
 def test_multiply_slash(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncschur.combinat import partitions, skew
+from ncschur.ncpoly import CPoly
 from ncschur.sym import (
     SymExpr,
     expand,
@@ -63,6 +64,43 @@ def test_product_matches_polynomial_product():
     f = SymExpr.single("e", (2,))
     g = SymExpr.single("m", (1, 1))
     assert expand(f * g, k) == expand(f, k) * expand(g, k)
+
+
+def generator_cpoly(basis: str, r: int, k: int) -> CPoly:
+    """The degree-r generator of a multiplicative basis in k variables, as
+    a polynomial: the oracle for the monomial expansions, which count."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    if basis == "p":
+        supports = [[i] * r for i in range(k)]
+    elif basis == "e":
+        supports = itertools.combinations(range(k), r)
+    else:
+        supports = itertools.combinations_with_replacement(range(k), r)
+    for multi in supports:
+        expo = [0] * k
+        for i in multi:
+            expo[i] += 1
+        terms[tuple(expo)] = Fraction(1)
+    return CPoly(k, terms)
+
+
+@pytest.mark.parametrize("basis", "peh")
+def test_multiplicative_bases_expand_as_products_of_generator_polynomials(basis):
+    for n in range(7):
+        for lam in partitions(n):
+            poly = CPoly.one(max(n, 1))
+            for r in lam:
+                poly = poly * generator_cpoly(basis, r, max(n, 1))
+            assert expand(SymExpr.single(basis, lam), max(n, 1)) == poly, lam
+
+
+def test_monomial_products_match_polynomial_products():
+    for n in range(7):
+        for a in range(n + 1):
+            for mu in partitions(a):
+                for nu in partitions(n - a):
+                    f, g, k = SymExpr.single("m", mu), SymExpr.single("m", nu), max(n, 1)
+                    assert expand(f * g, k) == expand(f, k) * expand(g, k), (mu, nu)
 
 
 def test_newton_identity_degree_2():
