@@ -390,7 +390,9 @@ def _spread(vals: list[int], letters, target, k: int) -> list[int]:
     base k in position order, repeated over the sorted positions target
     that contain them: run by run from the right, a run of free positions
     repeats each chunk of k^(positions to its right) entries k^(run length)
-    times."""
+    times. Where the chunks outnumber the chunk * copies entries of one
+    repeated chunk, the copy goes column by column instead: the strided
+    column vals[t::chunk] lands at every place t + j * chunk of the repeat."""
     inside = {i for i, x in enumerate(target, 1) if x in letters}
     end = len(target)
     while end > 0:
@@ -398,9 +400,18 @@ def _spread(vals: list[int], letters, target, k: int) -> list[int]:
         while start and start not in inside:
             start -= 1
         if start < end:  # the positions start + 1..end are free
-            chunk, copies, spread = k ** (len(target) - end), k ** (end - start), []
-            for i in range(0, len(vals), chunk):
-                spread += vals[i:i + chunk] * copies
+            chunk, copies = k ** (len(target) - end), k ** (end - start)
+            width = chunk * copies
+            if len(vals) // chunk > width:
+                spread = [0] * (len(vals) * copies)
+                for t in range(chunk):
+                    column = vals[t::chunk]
+                    for j in range(t, width, chunk):
+                        spread[j::width] = column
+            else:
+                spread = []
+                for i in range(0, len(vals), chunk):
+                    spread += vals[i:i + chunk] * copies
             vals = spread
         end = start - 1
     return vals
@@ -411,19 +422,33 @@ def _words(n: int, k: int, pools) -> list[int]:
     coefficients: the word w_1...w_n sits at the base-k integer sum over x
     of (w_x - 1) k^(n - x). A pool is a tuple of letters (positions, in
     increasing order) and a list of weights over their digits (letter - 1),
-    indexed the same way. The pools multiply over their joint letters: the
-    product so far and the next pool both spread to the letters covered so
-    far, so each step has k^(letters covered) entries, and the product
-    spreads to 1..n once at the end. A pool whose weights are all 1 is
-    skipped, and so with no other pool every word has coefficient 1."""
+    indexed the same way. The pools multiply over their joint letters, so
+    each step has k^(letters covered) entries, and the product spreads to
+    1..n once at the end. A pool whose least letter follows every covered
+    letter (the first pool among them) multiplies as an outer product: its
+    digits come after the covered ones, so the product over the two sets of
+    letters is one copy of the pool per entry of the product so far, scaled
+    by that entry and made once per distinct entry (a 1 reuses the pool and
+    a 0 multiplies nothing). Any other pool and the product so far both
+    spread to the joint letters and multiply entry by entry. A pool whose
+    weights are all 1 is skipped, and so with no other pool every word has
+    coefficient 1."""
     out, covered = [1], ()
     for letters, vals in pools:
         if vals.count(1) == len(vals):
             continue
-        joint = tuple(sorted({*covered, *letters}))
-        out = list(map(operator.mul, _spread(out, covered, joint, k),
-                       _spread(vals, letters, joint, k)))
-        covered = joint
+        if not covered or covered[-1] < min(letters):
+            rows = {c: vals if c == 1 else [0] * len(vals) if c == 0 else [c * v for v in vals]
+                    for c in set(out)}
+            product = []
+            for c in out:
+                product += rows[c]
+            out, covered = product, (*covered, *letters)
+        else:
+            joint = tuple(sorted({*covered, *letters}))
+            out = list(map(operator.mul, _spread(out, covered, joint, k),
+                           _spread(vals, letters, joint, k)))
+            covered = joint
     return _spread(out, covered, range(1, n + 1), k)
 
 

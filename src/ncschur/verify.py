@@ -68,6 +68,20 @@ def skew_shapes(max_size: int, inner_cap: int = 3):
     return out
 
 
+def _is_outer_product(words: list, left: list, right: list) -> bool:
+    """Whether words[i * len(right) + j] == left[i] * right[j] for all i, j,
+    with len(words) == len(left) * len(right). Along the shorter factor the
+    other one is scaled once per distinct value (by 1: itself): row i of
+    words against left[i] * right, or column j (stride len(right)) against
+    right[j] * left."""
+    width = len(right)
+    if len(left) <= width:
+        rows = {c1: right if c1 == 1 else [c1 * c2 for c2 in right] for c1 in set(left)}
+        return all(words[i * width:(i + 1) * width] == rows[c1] for i, c1 in enumerate(left))
+    columns = {c2: left if c2 == 1 else [c1 * c2 for c1 in left] for c2 in set(right)}
+    return all(words[j::width] == columns[c2] for j, c2 in enumerate(right))
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -110,16 +124,13 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                     # the slash-product rule at word level: the expansion of
                     # tau must equal the outer product of the factors' (the
                     # base-n words of lengths a and n - a concatenate to
-                    # w1 * n**(n - a) + w2), built row by row with the row
-                    # c1 * right made once per value c1; the length guard
-                    # catches a factor list of the wrong length, which the
+                    # w1 * n**(n - a) + w2); the length guard comes first, as
+                    # it catches a factor list of the wrong length, which the
                     # outer product would otherwise absorb
                     left, right = factors[pi][basis], factors[sig][basis]
-                    rows, rhs = {c1: [c1 * c2 for c2 in right] for c1 in set(left)}, []
-                    for c1 in left:
-                        rhs += rows[c1]
                     lengths = (len(lhs), len(left), len(right))
-                    if lengths != (n**n, n**a, n ** (n - a)) or lhs != rhs:
+                    if lengths != (n**n, n**a, n ** (n - a)) or not _is_outer_product(
+                            lhs, left, right):
                         return fail(f"{basis}: pi={format_set_partition(pi)} "
                                     f"sig={format_set_partition(sig)}")
     # the structured two-term rules with permutations and on basis elements

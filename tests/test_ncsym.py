@@ -263,6 +263,49 @@ def test_h_words_match_the_words_of_their_monomial_expansion(k):
         assert ncsym._EXPANDERS["h"](pi, k) == expected, pi
 
 
+def test_spread_matches_its_index_formula():
+    # entry j of the spread, read as base-k digits over target in position
+    # order, is vals at j's digits in the places of letters; targets of up
+    # to 5 letters reach both the chunk-by-chunk copy (long chunks) and the
+    # column-by-column one (many short chunks, such as a trailing free run)
+    for size in range(6):
+        for target in itertools.combinations(range(1, 7), size):
+            for picks in itertools.product((0, 1), repeat=size):
+                letters = tuple(x for x, take in zip(target, picks) if take)
+                for k in range(1, 4):
+                    vals = [7 * i + 3 for i in range(k ** len(letters))]
+                    expected = []
+                    for j in range(k**size):
+                        digits = [j // k ** (size - 1 - i) % k for i in range(size)]
+                        kept = [d for d, take in zip(digits, picks) if take]
+                        expected.append(vals[sum(d * k ** (len(kept) - 1 - i)
+                                                 for i, d in enumerate(kept))])
+                    assert ncsym._spread(vals, letters, target, k) == expected, (
+                        letters, target, k)
+
+
+@pytest.mark.parametrize("n, ks", [(n, range(1, 5)) for n in range(1, 7)] + [(6, [6])])
+def test_words_outer_product_route_matches_the_joint_letter_route(n, ks):
+    # the pools' product is commutative; in reverse order no pool after the
+    # first has its least letter past every covered letter, so every later
+    # pool multiplies over the joint letters instead of as an outer product
+    weights = (ncsym._h_weights, ncsym._e_weights, ncsym._p_weights)
+    for k in ks:
+        for pi in set_partitions(n):
+            for weight in weights:
+                pools = [(b, weight(len(b), k)) for b in pi]
+                assert ncsym._words(n, k, pools[::-1]) == ncsym._words(n, k, pools), (
+                    pi, k, weight.__name__)
+            # _expand_m's one joint pool over 1..n (its own expansion), with
+            # a pool on the last letter weighted by its digit put after it
+            # (then that pool is the joint one) or before it (then the m pool is)
+            m_vals = ncsym._expand_m(pi, k)
+            expected = [c * (w % k + 1) for w, c in enumerate(m_vals)]
+            m_pools = [(range(1, n + 1), m_vals), ((n,), [d + 1 for d in range(k)])]
+            assert ncsym._words(n, k, m_pools) == expected, (pi, k)
+            assert ncsym._words(n, k, m_pools[::-1]) == expected, (pi, k)
+
+
 def test_oracle_degree_guard():
     nine = interval_partition((9,))
     with pytest.raises(DegreeGuardError, match=r"^oracle expansion of h\[123456789\]: "

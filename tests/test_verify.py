@@ -4,6 +4,8 @@ monkeypatched to return wrong answers; the ranges are small."""
 
 import re
 
+import pytest
+
 from ncschur import ncsym, schur
 from ncschur.combinat import (
     format_set_partition,
@@ -123,6 +125,31 @@ def test_prod_compares_tau_at_every_split(monkeypatch):
             report = suite_prod(max_size=4)
             expected = "h: pi={} sig={}".format(*map(format_set_partition, first))
             assert report.counterexample == expected, (f, n)
+
+
+@pytest.mark.parametrize("tau, a, expected", [
+    # first split a = 1 <= n - a: tau's list is compared row by row
+    ("1/234", 1, "h: pi=1 sig=123"),
+    # first split a = 3 > n - a: tau's list is compared column by column
+    ("123/4", 3, "h: pi=123 sig=1"),
+])
+def test_prod_compares_every_entry_of_the_slash_product(monkeypatch, tau, a, expected):
+    # an h expansion of tau (n = 4, k = n) wrong in one entry only: its last
+    # word, or the last entry of its first row, k^(n - a) - 1
+    orig, tau, n = ncsym._EXPANDERS["h"], parse_set_partition(tau), 4
+    for index in (n**n - 1, n ** (n - a) - 1):
+
+        def wrong_once(p, k, index=index):
+            words = orig(p, k)
+            if p == tau:
+                words = list(words)
+                words[index] += 1
+            return words
+
+        monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_once)
+        report = suite_prod(max_size=4)
+        assert not report.ok, index
+        assert report.counterexample == expected, index
 
 
 def test_specht_catches_a_rank_that_is_neither_0_nor_the_standard_count(monkeypatch):
