@@ -25,13 +25,35 @@ from .combinat import (
 )
 
 
-class LatticePath(NamedTuple):
+class _Path(NamedTuple):
     start_x: int
     heights: tuple[int, ...]  # weakly increasing east-step heights
 
-    @property
-    def end_x(self) -> int:
-        return self.start_x + len(self.heights)
+
+class LatticePath(_Path):
+    """A path with its table of visited points, made once when the path is
+    built: ``points`` holds them up to height ``top``, one above the highest
+    east step (and at least 2); above that the path runs straight up the
+    column x = end_x. Equality and hashing are the tuple's: the table
+    derives from (start_x, heights)."""
+
+    def __new__(cls, start_x: int, heights: tuple[int, ...]):
+        self = super().__new__(cls, start_x, heights)
+        self.end_x = start_x + len(heights)
+        self.top = max(heights, default=1) + 1
+        x, y = start_x, 1
+        points = [(x, y)]
+        for h in heights:
+            while y < h:
+                y += 1
+                points.append((x, y))
+            x += 1
+            points.append((x, y))
+        while y < self.top:
+            y += 1
+            points.append((x, y))
+        self.points = frozenset(points)
+        return self
 
     def x_range(self, y: int) -> tuple[int, int]:
         """The x-extent [lo, hi] occupied at height y; heights are sorted."""
@@ -124,18 +146,20 @@ def all_path_tuples(shape: SkewShape, height_cap: int) -> Iterator[PathTuple]:
 # intersections and the swap
 
 def common_points(p: LatticePath, q: LatticePath) -> list[tuple[int, int]]:
-    """All lattice points visited by both paths, in traversal order (the
-    coordinate sum increases strictly along a path, so the order is by
-    x + y). The infinite tails meet only if the end points coincide."""
-    top = max([1, *p.heights, *q.heights]) + 1
-    out = []
-    for y in range(1, top + 1):
-        (p_lo, p_hi), (q_lo, q_hi) = p.x_range(y), q.x_range(y)
-        out.extend((x, y) for x in range(max(p_lo, q_lo), min(p_hi, q_hi) + 1))
+    """All lattice points visited by both paths up to the higher of their
+    two tops, in traversal order (the coordinate sum increases strictly
+    along a path, so the order is by x + y). Above its own table a path
+    runs up its end column, so the other path's points there are common
+    too. The infinite tails meet only if the end points coincide."""
+    top = max(p.top, q.top)
+    common = list(p.points & q.points)
+    for a, b in ((p, q), (q, p)):
+        if a.top < top:
+            common.extend(pt for pt in b.points if pt[0] == a.end_x and pt[1] > a.top)
     if p.end_x == q.end_x:
         # tails coincide from height `top` upward; one witness is enough
-        out.append((p.end_x, top + 1))
-    return sorted(out, key=lambda pt: pt[0] + pt[1])
+        common.append((p.end_x, top + 1))
+    return sorted(common, key=sum)
 
 
 def _split_labels(paths) -> list[list[int]]:
@@ -155,22 +179,19 @@ def lgv_swap(P: PathTuple) -> tuple[PathTuple, Perm]:
     and the label-exchange permutation."""
     paths = P.paths
     ell = len(paths)
-    target = None
-    for i in range(ell - 1, -1, -1):
-        partners = [
-            j
-            for j in range(ell)
-            if j != i and common_points(paths[i], paths[j])
-        ]
-        if partners:
-            target = (i, max(partners))
-            break
+    # partners are tried from the largest index down, so the first that
+    # meets path i is the largest
+    target = next(
+        ((i, j, points[-1])
+         for i in range(ell - 1, -1, -1)
+         for j in range(ell - 1, -1, -1)
+         if j != i and (points := common_points(paths[i], paths[j]))),
+        None,
+    )
     n = sum(len(p.heights) for p in paths)
-    identity = tuple(range(1, n + 1))
     if target is None:
-        return P, identity
-    i, j = target
-    a, b = common_points(paths[i], paths[j])[-1]
+        return P, tuple(range(1, n + 1))
+    i, j, (a, _) = target
     cut_i = a - paths[i].start_x
     cut_j = a - paths[j].start_x
     new_i = LatticePath(

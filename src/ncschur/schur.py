@@ -51,7 +51,7 @@ from .expr_format import add_up
 from .ncpoly import NCPoly
 from .ncsym import NCSymExpr, basis_order, coproduct, delta_action, to_h, to_m
 # littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
-from .sym import littlewood_richardson, lr_coefficients  # noqa: F401
+from .sym import SymExpr, littlewood_richardson, lr_coefficients  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +387,12 @@ def rs_coproduct_check(lam: Partition, i: int) -> bool:
 def skew_kostka_check(shape: SkewShape, pairs) -> bool:
     """Whether every skew Kostka number splits as the weighted sum of
     straight Kostka numbers over the (shape, coefficient) pairs of the
-    Littlewood-Richardson expansion, as rs_lr_expand lists them."""
+    Littlewood-Richardson expansion, as rs_lr_expand lists them. The skew
+    side counts fillings by the branching rule; the straight rows are the
+    m-expansions of the classical Schur functions s_nu."""
+    rows = [(c, SymExpr.single("s", nu).to_m().terms) for nu, c in pairs]
     return all(
-        kostka(shape, gam) == sum(c * kostka(SkewShape(nu, ()), gam) for nu, c in pairs)
+        kostka(shape, gam) == sum(c * row.get(gam, 0) for c, row in rows)
         for gam in partitions(shape.size)
     )
 

@@ -27,6 +27,7 @@ from .combinat import (
     skew,
     transpose,
 )
+from .expr_format import add_up
 from .ncpoly import NCPoly
 from .ncsym import (
     _EXPANDERS,
@@ -94,12 +95,19 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
         f"|lam|+|mu| <= {max_size}; slash/oracle pairs of total size <= {slash_size}"
     )
     fail = partial(SuiteReport, "prod", False, detail)
+    sources: dict = {}  # skew shape -> its source function, built once per call
+
+    def source(shape: SkewShape) -> NCSymExpr:
+        if shape not in sources:
+            sources[shape] = schur.source_skew_schur(shape)
+        return sources[shape]
+
     for total in range(max_size + 1):
         for a in range(total + 1):
             for lam in partitions(a):
                 for mu in partitions(total - a):
                     prod, shapes = schur.source_product(lam, mu)
-                    rhs = sum(map(schur.source_skew_schur, shapes), NCSymExpr.zero("h"))
+                    rhs = sum(map(source, shapes), NCSymExpr.zero("h"))
                     if prod != rhs:
                         return fail(f"lam={format_partition(lam)} mu={format_partition(mu)}")
     bases = ("h", "e", "p")
@@ -250,12 +258,15 @@ def suite_rslr(max_size: int = 6, inner_cap: int = 3) -> SuiteReport:
     Littlewood-Richardson coefficients, and skew Kostka numbers split the
     same way."""
     detail = f"skew sizes <= {max_size}, inner shapes of size <= {inner_cap}"
+    straight: dict = {}  # nu -> the straight Rosas-Sagan function, built once per call
     for shape in skew_shapes(max_size, inner_cap):
         # one LR expansion per shape: the Kostka split checks the same pairs
         pairs = schur.rs_lr_expand(shape)
         rhs = NCSymExpr.zero("m")
         for nu, c in pairs:
-            rhs = rhs + schur.rosas_sagan(SkewShape(nu, ())).scale(c)
+            if nu not in straight:
+                straight[nu] = schur.rosas_sagan(SkewShape(nu, ()))
+            rhs = rhs + straight[nu].scale(c)
         if rhs != schur.rosas_sagan(shape):
             return SuiteReport("rslr", False, detail, str(shape))
         if not schur.skew_kostka_check(shape, pairs):
@@ -305,7 +316,8 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
     """The path swap is a sign-reversing involution whose fixed points are
     the non-intersecting identity-matched tuples; labels preserve heights;
     the signed monomial sum collapses onto the fixed points; and the
-    word-level bridge to the h-elements holds."""
+    word-level bridge to the h-elements holds. Each tuple is swapped once,
+    and the swap of its image is looked up in that table."""
     detail = (
         f"skew sizes <= {max_size}, height cap <= {height_cap}, "
         f"inner shapes of size <= {inner_cap}"
@@ -313,69 +325,80 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
     fail = partial(SuiteReport, "lgv", False, detail)
     for shape in skew_shapes(max_size, inner_cap):
         n = shape.size
-        deltas = list(permutations(n))
+        identity = tuple(range(1, len(shape.outer) + 1))
+        picks = [tuple(d - 1 for d in delta) for delta in permutations(n)]
+        images = _bridge_images(shape)
         for k in range(1, height_cap + 1):
+            tuples = list(lgv.all_path_tuples(shape, k))
+            swaps = {P: lgv.lgv_swap(P) for P in tuples}
+            # label-height word -> number of tuples, per start matching; the
+            # signed sum, the collapsed sum and the bridge all read off these
+            words: dict = {eps: {} for eps in permutations(len(identity))}
             signed: dict = {}
-            for P in lgv.all_path_tuples(shape, k):
-                P2, xi = lgv.lgv_swap(P)
-                P3, xi2 = lgv.lgv_swap(P2)
-                if P3 != P:
+            collapsed: dict = {}
+            for P in tuples:
+                P2, xi = swaps[P]
+                if P2 not in swaps or swaps[P2][0] != P:
                     return fail(f"not an involution: {shape} k={k}\n{P.dump()}")
                 fixed = P2 == P
-                if fixed != (
-                    P.eps == tuple(range(1, len(P.eps) + 1))
-                    and not lgv.is_self_intersecting(P)
-                ):
+                apart = P.eps == identity and not lgv.is_self_intersecting(P)
+                if fixed != apart:
                     return fail(f"fixed-point shape wrong: {shape} k={k}\n{P.dump()}")
                 if not fixed and lgv.sign(P2) != -lgv.sign(P):
                     return fail(f"sign not reversed: {shape} k={k}\n{P.dump()}")
                 hp, hp2 = P.label_heights(), P2.label_heights()
                 if any(hp[i] != hp2[xi[i] - 1] for i in range(n)):
                     return fail(f"labels change height: {shape} k={k}\n{P.dump()}")
-                for delta in deltas:
-                    word = lgv.monomial(delta, P)
-                    signed[word] = signed.get(word, 0) + lgv.sign(P)
-            collapsed: dict = {}
-            for P in lgv.enumerate_path_tuples(
-                shape, tuple(range(1, len(shape.outer) + 1)), k
-            ):
-                if lgv.is_self_intersecting(P):
-                    continue
-                for delta in deltas:
-                    word = lgv.monomial(delta, P)
-                    collapsed[word] = collapsed.get(word, 0) + 1
-            signed = {w: c for w, c in signed.items() if c}
-            if signed != collapsed:
+                tally = words[P.eps]
+                tally[hp] = tally.get(hp, 0) + 1
+                signed[hp] = signed.get(hp, 0) + lgv.sign(P)
+                if apart:
+                    collapsed[hp] = collapsed.get(hp, 0) + 1
+            signed = {w: c for w, c in _relabel_tally(signed, picks).items() if c}
+            if signed != _relabel_tally(collapsed, picks):
                 return fail(f"signed sum does not collapse: {shape} k={k}")
-            if not _check_hmon_bridge(shape, k):
+            if any(oracle_expand(images[eps], k) != NCPoly(k, _relabel_tally(tally, picks))
+                   for eps, tally in words.items()):
                 return fail(f"word bridge fails: {shape} k={k}")
         lgv.fixed_points_to_ssyt(shape, height_cap)
     return SuiteReport("lgv", True, detail)
 
 
-def _check_hmon_bridge(shape: SkewShape, k: int) -> bool:
-    """Whether, start-matching by start-matching, the normalized sum of
-    permuted h-elements expands into exactly the path-tuple monomials."""
+def _relabel_tally(by_heights: dict, picks: list) -> dict:
+    """The tally of lgv.monomial(delta, P) over the tuples P and the
+    permutations delta, from the tally of the tuples' label-height words:
+    the monomial depends on P only through P.label_heights(), so each
+    distinct word is spread over the relabellings once. Each pick lists the
+    0-based positions that one delta reads."""
+    out: dict = {}
+    for heights, c in by_heights.items():
+        for pick in picks:
+            word = tuple(map(heights.__getitem__, pick))
+            out[word] = out.get(word, 0) + c
+    return out
+
+
+def _bridge_images(shape: SkewShape) -> dict:
+    """Per start matching, the normalized sum of the permuted h-elements
+    whose word expansion the bridge compares with the path-tuple monomials
+    of that matching; zero where some path would need a negative number of
+    east steps. The images do not depend on the height cap."""
     n = shape.size
     ell = len(shape.outer)
+    images = {}
     for eps in permutations(ell):
         entries = [
             shape.outer[i] - shape.inner_at(eps[i] - 1) - (i + 1) + eps[i]
             for i in range(ell)
         ]
-        images = NCSymExpr.zero("h")
+        terms: dict = {}
         if all(c >= 0 for c in entries):
             pi = interval_partition(tuple(c for c in entries if c))
             base = NCSymExpr.single("h", pi, Fraction(1, parts_factorial(entries)))
-            images = sum((delta_action(delta, base) for delta in permutations(n)), images)
-        rhs_terms: dict = {}
-        for P in lgv.enumerate_path_tuples(shape, eps, k):
-            for delta in permutations(n):
-                word = lgv.monomial(delta, P)
-                rhs_terms[word] = rhs_terms.get(word, 0) + 1
-        if oracle_expand(images, k) != NCPoly(k, rhs_terms):
-            return False
-    return True
+            terms = add_up(pair for delta in permutations(n)
+                           for pair in delta_action(delta, base).terms.items())
+        images[eps] = NCSymExpr._trusted("h", terms)
+    return images
 
 
 def suite_specht(max_n: int = 5) -> SuiteReport:

@@ -1,8 +1,13 @@
+import contextlib
+import hashlib
+import io
 import itertools
+from bisect import bisect_left, bisect_right
 
 import pytest
 
-from ncschur.combinat import SkewShape, perm_compose, skew, ssyt
+from ncschur import cli
+from ncschur.combinat import SkewShape, perm_compose, permutations, skew, ssyt
 from ncschur.lgv import (
     LatticePath,
     all_path_tuples,
@@ -17,6 +22,10 @@ from ncschur.lgv import (
     signed_ledger,
     tuple_to_tableau,
 )
+from ncschur.verify import _relabel_tally, skew_shapes
+
+# the range that ``verify lgv`` checks at its defaults
+DEFAULT_RANGE = [(shape, k) for shape in skew_shapes(4, 2) for k in (1, 2, 3)]
 
 
 def worked_example():
@@ -150,3 +159,94 @@ def test_signed_ledger_cancellation():
                 word = tuple(sorted(word))
                 totals[word] = totals.get(word, 0) + sgn
         assert all(v == 0 for v in totals.values())
+
+
+def bisect_common_points(p, q):
+    """The per-height reference: the x-extents of both paths at every
+    height up to one above the highest east step, by bisection, and a
+    witness above that when the tails coincide."""
+    def x_range(path, y):
+        return (path.start_x + bisect_left(path.heights, y),
+                path.start_x + bisect_right(path.heights, y))
+
+    top = max([1, *p.heights, *q.heights]) + 1
+    out = []
+    for y in range(1, top + 1):
+        (p_lo, p_hi), (q_lo, q_hi) = x_range(p, y), x_range(q, y)
+        out.extend((x, y) for x in range(max(p_lo, q_lo), min(p_hi, q_hi) + 1))
+    if p.end_x == q.end_x:
+        out.append((p.end_x, top + 1))
+    return sorted(out, key=lambda pt: pt[0] + pt[1])
+
+
+def test_point_table_holds_the_path_up_to_its_top():
+    p = path(0, (1, 1, 3))
+    assert p.top == 4
+    assert p.points == {(0, 1), (1, 1), (2, 1), (2, 2), (2, 3), (3, 3), (3, 4)}
+    assert path(2, ()).points == {(2, 1), (2, 2)}
+    # the table is no part of equality or hashing
+    assert p == (0, (1, 1, 3)) and hash(p) == hash((0, (1, 1, 3)))
+
+
+def test_common_points_match_the_bisect_reference_on_the_default_range():
+    pairs = {
+        (p, q)
+        for shape, k in DEFAULT_RANGE
+        for P in all_path_tuples(shape, k)
+        for p, q in itertools.permutations(P.paths, 2)
+    }
+    assert len(pairs) > 1000
+    bad = [(p, q) for p, q in pairs if common_points(p, q) != bisect_common_points(p, q)]
+    assert bad == []
+
+
+def test_common_points_match_the_bisect_reference_across_tops():
+    # paths of unequal tops meet on the lower one's end column, or not
+    paths = [path(start, hs) for start in (-2, 0, 1)
+             for r in range(4) for hs in itertools.combinations_with_replacement(range(1, 5), r)]
+    for p in paths:
+        for q in paths:
+            assert common_points(p, q) == bisect_common_points(p, q), (p, q)
+
+
+def test_every_swap_of_the_default_range_lands_in_the_enumeration():
+    count = 0
+    for shape, k in DEFAULT_RANGE:
+        tuples = list(all_path_tuples(shape, k))
+        enumerated = set(tuples)
+        for P in tuples:
+            assert lgv_swap(P)[0] in enumerated, (shape, k, P.dump())
+        count += len(tuples)
+    assert count == 6086
+
+
+@pytest.mark.parametrize("shape", [skew((2, 1)), skew((2, 2), (1,)), skew((3, 1), (1,))])
+def test_height_word_tallies_equal_the_per_permutation_monomial_tallies(shape):
+    n = shape.size
+    deltas = list(permutations(n))
+    picks = [tuple(d - 1 for d in delta) for delta in deltas]
+    for k in (1, 2, 3):
+        by_delta, by_heights = {}, {}
+        for P in all_path_tuples(shape, k):
+            for delta in deltas:
+                word = monomial(delta, P)
+                by_delta[word] = by_delta.get(word, 0) + P.sign()
+            hp = P.label_heights()
+            by_heights[hp] = by_heights.get(hp, 0) + P.sign()
+        assert _relabel_tally(by_heights, picks) == by_delta
+
+
+# sha256 of the ``lgv-check`` ledgers of DEFAULT_RANGE, in order, printed by
+# the per-height common_points and the two-swap suite that preceded the
+# point tables
+LEDGERS_SHA256 = "bfc66847d82c6b1791977579af9194f06668aa9372da41a57899ca7198b5ae9d"
+
+
+def test_lgv_check_ledgers_are_pinned():
+    digest = hashlib.sha256()
+    for shape, k in DEFAULT_RANGE:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["lgv-check", "--shape", str(shape), "--cap", str(k)]) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == LEDGERS_SHA256
