@@ -96,20 +96,7 @@ def partitions(n: int) -> Iterator[Partition]:
 
 def compositions(n: int) -> Iterator[Composition]:
     """All compositions of n, ordered by their underlying subset encoding."""
-    if n == 0:
-        yield ()
-        return
-    for cuts in itertools.product((0, 1), repeat=n - 1):
-        alpha = []
-        run = 1
-        for cut in cuts:
-            if cut:
-                alpha.append(run)
-                run = 1
-            else:
-                run += 1
-        alpha.append(run)
-        yield tuple(alpha)
+    return coarsenings((1,) * n)
 
 
 def coarsenings(alpha: Composition) -> Iterator[Composition]:

@@ -11,7 +11,6 @@ sequence; the tail carries no data.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
 from .combinat import (
@@ -54,15 +53,6 @@ class LatticePath(_Path):
             points.append((x, y))
         self.points = frozenset(points)
         return self
-
-    def x_range(self, y: int) -> tuple[int, int]:
-        """The x-extent [lo, hi] occupied at height y; heights are sorted."""
-        return (self.start_x + bisect_left(self.heights, y),
-                self.start_x + bisect_right(self.heights, y))
-
-    def visits(self, x: int, y: int) -> bool:
-        lo, hi = self.x_range(y)
-        return lo <= x <= hi
 
     def __str__(self):
         return f"{self.start_x}: {','.join(map(str, self.heights))}"
@@ -219,10 +209,6 @@ def lgv_swap(P: PathTuple) -> tuple[PathTuple, Perm]:
             xi[lab - 1] = pos
             pos += 1
     return P2, tuple(xi)
-
-
-def sign(P: PathTuple) -> int:
-    return P.sign()
 
 
 def monomial(delta: Perm, P: PathTuple) -> tuple[int, ...]:

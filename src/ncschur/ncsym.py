@@ -328,6 +328,23 @@ def delta_action(delta: Perm, expr: NCSymExpr) -> NCSymExpr:
     ))
 
 
+def symmetrize(expr: NCSymExpr) -> NCSymExpr:
+    """The sum of delta_action(delta, expr) over every permutation delta of
+    each degree, without walking them: the permutations move each set
+    partition onto every one of its block-size type lam, each as often as
+    the stabilizer has elements, lam! * m(lam)!. So each type's coefficient
+    total, times that size, is spread over the type's set partitions."""
+    if expr.basis not in ("m", "p", "e", "h"):
+        raise ValueError("the permutation action needs an m/p/e/h expression")
+    totals = add_up((shape_of(pi), c) for pi, c in expr.terms.items())
+    weight = {lam: c * parts_factorial(lam) * multiplicity_factorial(lam)
+              for lam, c in totals.items()}
+    return NCSymExpr._trusted(expr.basis, {
+        pi: weight[lam] for n in sorted({sum(lam) for lam in weight})
+        for pi in set_partitions(n) if (lam := shape_of(pi)) in weight
+    })
+
+
 _RHO_SCALE = {"m": multiplicity_factorial, "p": lambda lam: 1, "e": parts_factorial,
               "h": parts_factorial}
 

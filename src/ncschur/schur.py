@@ -49,7 +49,7 @@ from .combinat import (
 )
 from .expr_format import add_up
 from .ncpoly import NCPoly
-from .ncsym import NCSymExpr, basis_order, coproduct, delta_action, to_h, to_m
+from .ncsym import NCSymExpr, basis_order, coproduct, delta_action, symmetrize, to_h, to_m
 # littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
 from .sym import SymExpr, littlewood_richardson, lr_coefficients  # noqa: F401
 
@@ -353,10 +353,7 @@ def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:
 def rs_refinement_check(shape: SkewShape) -> bool:
     """Whether the sum of the permuted skew Schur functions over all box
     orderings equals the Rosas-Sagan function."""
-    base = source_skew_schur(shape)
-    total = add_up(pair for d in permutations(shape.size)
-                   for pair in delta_action(d, base).terms.items())
-    return to_m(NCSymExpr._trusted("h", total)) == rosas_sagan(shape)
+    return to_m(symmetrize(source_skew_schur(shape))) == rosas_sagan(shape)
 
 
 def rs_lr_expand(shape: SkewShape):

@@ -5,6 +5,7 @@ reports the range covered plus the first counterexample, if any.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -27,7 +28,6 @@ from .combinat import (
     skew,
     transpose,
 )
-from .expr_format import add_up
 from .ncpoly import NCPoly
 from .ncsym import (
     _EXPANDERS,
@@ -37,6 +37,7 @@ from .ncsym import (
     omega,
     oracle_expand,
     rho,
+    symmetrize,
     to_m,
 )
 from .nsym import NSymExpr
@@ -191,7 +192,7 @@ def suite_transpose(max_n: int = 5) -> SuiteReport:
     for n in range(1, max_n + 1):
         for pi in set_partitions(n):
             st = schur.transposed_schur(pi)
-            if to_m(omega(schur.standard_schur(pi))) != to_m(st):
+            if omega(schur.standard_schur(pi)) != st:
                 return fail(format_set_partition(pi))
             expected = jacobi_trudi(
                 SkewShape(transpose(shape_of(pi)), ()), "h"
@@ -326,14 +327,14 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
     for shape in skew_shapes(max_size, inner_cap):
         n = shape.size
         identity = tuple(range(1, len(shape.outer) + 1))
-        picks = [tuple(d - 1 for d in delta) for delta in permutations(n)]
         images = _bridge_images(shape)
         for k in range(1, height_cap + 1):
             tuples = list(lgv.all_path_tuples(shape, k))
             swaps = {P: lgv.lgv_swap(P) for P in tuples}
-            # label-height word -> number of tuples, per start matching; the
-            # signed sum, the collapsed sum and the bridge all read off these
-            words: dict = {eps: {} for eps in permutations(len(identity))}
+            # content (sorted label-height word) -> number of tuples, per start
+            # matching; the signed sum, the collapsed sum and the bridge all
+            # read off these
+            contents: dict = {eps: {} for eps in permutations(len(identity))}
             signed: dict = {}
             collapsed: dict = {}
             for P in tuples:
@@ -344,36 +345,36 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
                 apart = P.eps == identity and not lgv.is_self_intersecting(P)
                 if fixed != apart:
                     return fail(f"fixed-point shape wrong: {shape} k={k}\n{P.dump()}")
-                if not fixed and lgv.sign(P2) != -lgv.sign(P):
+                if not fixed and P2.sign() != -P.sign():
                     return fail(f"sign not reversed: {shape} k={k}\n{P.dump()}")
                 hp, hp2 = P.label_heights(), P2.label_heights()
                 if any(hp[i] != hp2[xi[i] - 1] for i in range(n)):
                     return fail(f"labels change height: {shape} k={k}\n{P.dump()}")
-                tally = words[P.eps]
-                tally[hp] = tally.get(hp, 0) + 1
-                signed[hp] = signed.get(hp, 0) + lgv.sign(P)
+                content = tuple(sorted(hp))
+                tally = contents[P.eps]
+                tally[content] = tally.get(content, 0) + 1
+                signed[content] = signed.get(content, 0) + P.sign()
                 if apart:
-                    collapsed[hp] = collapsed.get(hp, 0) + 1
-            signed = {w: c for w, c in _relabel_tally(signed, picks).items() if c}
-            if signed != _relabel_tally(collapsed, picks):
+                    collapsed[content] = collapsed.get(content, 0) + 1
+            signed = {w: c for w, c in _relabel_tally(signed).items() if c}
+            if signed != _relabel_tally(collapsed):
                 return fail(f"signed sum does not collapse: {shape} k={k}")
-            if any(oracle_expand(images[eps], k) != NCPoly(k, _relabel_tally(tally, picks))
-                   for eps, tally in words.items()):
+            if any(oracle_expand(images[eps], k) != NCPoly(k, _relabel_tally(tally))
+                   for eps, tally in contents.items()):
                 return fail(f"word bridge fails: {shape} k={k}")
         lgv.fixed_points_to_ssyt(shape, height_cap)
     return SuiteReport("lgv", True, detail)
 
 
-def _relabel_tally(by_heights: dict, picks: list) -> dict:
+def _relabel_tally(by_content: dict) -> dict:
     """The tally of lgv.monomial(delta, P) over the tuples P and the
-    permutations delta, from the tally of the tuples' label-height words:
-    the monomial depends on P only through P.label_heights(), so each
-    distinct word is spread over the relabellings once. Each pick lists the
-    0-based positions that one delta reads."""
+    permutations delta, from the tally of the tuples' contents, their sorted
+    label-height words: the n! relabellings of a word reach each
+    rearrangement of its content as often as itertools.permutations of the
+    content lists it, so each distinct content is spread once."""
     out: dict = {}
-    for heights, c in by_heights.items():
-        for pick in picks:
-            word = tuple(map(heights.__getitem__, pick))
+    for content, c in by_content.items():
+        for word in itertools.permutations(content):
             out[word] = out.get(word, 0) + c
     return out
 
@@ -383,7 +384,6 @@ def _bridge_images(shape: SkewShape) -> dict:
     whose word expansion the bridge compares with the path-tuple monomials
     of that matching; zero where some path would need a negative number of
     east steps. The images do not depend on the height cap."""
-    n = shape.size
     ell = len(shape.outer)
     images = {}
     for eps in permutations(ell):
@@ -391,13 +391,11 @@ def _bridge_images(shape: SkewShape) -> dict:
             shape.outer[i] - shape.inner_at(eps[i] - 1) - (i + 1) + eps[i]
             for i in range(ell)
         ]
-        terms: dict = {}
-        if all(c >= 0 for c in entries):
-            pi = interval_partition(tuple(c for c in entries if c))
-            base = NCSymExpr.single("h", pi, Fraction(1, parts_factorial(entries)))
-            terms = add_up(pair for delta in permutations(n)
-                           for pair in delta_action(delta, base).terms.items())
-        images[eps] = NCSymExpr._trusted("h", terms)
+        if any(c < 0 for c in entries):
+            images[eps] = NCSymExpr._trusted("h", {})
+            continue
+        pi = interval_partition(tuple(c for c in entries if c))
+        images[eps] = symmetrize(NCSymExpr.single("h", pi, Fraction(1, parts_factorial(entries))))
     return images
 
 

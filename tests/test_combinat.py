@@ -61,6 +61,21 @@ def test_compositions_counts():
     assert [sum(1 for _ in compositions(n)) for n in range(1, 7)] == [1, 2, 4, 8, 16, 32]
 
 
+def test_compositions_order():
+    # by subset encoding: bit i of the cut set (first bit most significant)
+    # cuts after position i + 1
+    assert list(compositions(0)) == [()]
+    assert list(compositions(4)) == [
+        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 3), (1, 2, 1), (1, 1, 2), (1, 1, 1, 1)
+    ]
+    for n in range(1, 9):
+        expected = []
+        for cuts in itertools.product((0, 1), repeat=n - 1):
+            ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+            expected.append(tuple(b - a for a, b in zip([0, *ends], ends)))
+        assert list(compositions(n)) == expected, n
+
+
 def test_set_partition_counts_are_bell_numbers():
     assert [len(set_partitions(n)) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 

@@ -45,27 +45,30 @@ def test_path_validation():
     assert path(3, ()).end_x == 3
 
 
+def row(p, y):
+    """The x-coordinates in a path's point table at height y."""
+    return sorted(x for x, h in p.points if h == y)
+
+
 def test_path_geometry():
     p = path(0, (1, 1, 3))
-    assert p.x_range(1) == (0, 2)
-    assert p.x_range(2) == (2, 2)
-    assert p.x_range(3) == (2, 3)
-    assert p.visits(2, 2)
-    assert not p.visits(0, 3)
+    assert row(p, 1) == [0, 1, 2]
+    assert row(p, 2) == [2]
+    assert row(p, 3) == [2, 3]
 
 
 def test_x_range_matches_counting_east_steps():
-    # lo counts the east steps below y, hi those at or below y
+    # at each height up to the top, the table holds the x-range from the
+    # east steps below y to those at or below y, and nothing else
     for r in range(5):
         for heights in itertools.combinations_with_replacement(range(1, 5), r):
             for start in (0, 2):
                 p = path(start, heights)
-                for y in range(7):
+                assert {y for _, y in p.points} == set(range(1, p.top + 1)), p
+                for y in range(1, p.top + 1):
                     lo = start + sum(1 for h in heights if h < y)
                     hi = start + sum(1 for h in heights if h <= y)
-                    assert p.x_range(y) == (lo, hi), (p, y)
-                    for x in range(start - 1, start + r + 2):
-                        assert p.visits(x, y) == (lo <= x <= hi), (p, x, y)
+                    assert row(p, y) == list(range(lo, hi + 1)), (p, y)
 
 
 def test_path_tuple_start_and_end_validation():
@@ -82,7 +85,9 @@ def test_common_points_ordered_by_coordinate_sum():
     pts = common_points(p, q)
     sums = [x + y for x, y in pts]
     assert sums == sorted(sums)
-    assert all(p.visits(x, y) and q.visits(x, y) for x, y in pts[:-1] or pts)
+    # q's table ends at its top 3, below the common point (2, 4) on its end
+    # column, so the points are checked against the bisect reference
+    assert pts == bisect_common_points(p, q)
 
 
 def test_worked_example_swap():
@@ -222,18 +227,18 @@ def test_every_swap_of_the_default_range_lands_in_the_enumeration():
 
 @pytest.mark.parametrize("shape", [skew((2, 1)), skew((2, 2), (1,)), skew((3, 1), (1,))])
 def test_height_word_tallies_equal_the_per_permutation_monomial_tallies(shape):
+    # the tallies are keyed by content, the sorted label-height word
     n = shape.size
     deltas = list(permutations(n))
-    picks = [tuple(d - 1 for d in delta) for delta in deltas]
     for k in (1, 2, 3):
-        by_delta, by_heights = {}, {}
+        by_delta, by_content = {}, {}
         for P in all_path_tuples(shape, k):
             for delta in deltas:
                 word = monomial(delta, P)
                 by_delta[word] = by_delta.get(word, 0) + P.sign()
-            hp = P.label_heights()
-            by_heights[hp] = by_heights.get(hp, 0) + P.sign()
-        assert _relabel_tally(by_heights, picks) == by_delta
+            content = tuple(sorted(P.label_heights()))
+            by_content[content] = by_content.get(content, 0) + P.sign()
+        assert _relabel_tally(by_content) == by_delta
 
 
 # sha256 of the ``lgv-check`` ledgers of DEFAULT_RANGE, in order, printed by

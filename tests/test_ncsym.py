@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncschur import ncsym
 from ncschur.combinat import (
@@ -10,6 +12,7 @@ from ncschur.combinat import (
     permutations,
     set_partitions,
     shape_of,
+    sp_size,
 )
 from ncschur.ncpoly import NCPoly
 from ncschur.ncsym import (
@@ -23,10 +26,13 @@ from ncschur.ncsym import (
     omega,
     oracle_expand,
     rho,
+    symmetrize,
     to_h,
     to_m,
 )
+from ncschur.schur import source_skew_schur
 from ncschur.sym import SymExpr, expand
+from ncschur.verify import skew_shapes
 
 
 def single(basis, text):
@@ -166,6 +172,52 @@ def test_delta_action_preserves_commutative_image_on_p():
     for delta in permutations(3):
         g = delta_action(delta, f)
         assert oracle_expand(g, 3).commutative_image() == oracle_expand(f, 3).commutative_image()
+
+
+def walk_symmetrize(expr: NCSymExpr) -> NCSymExpr:
+    """The oracle for symmetrize: delta_action summed over all n!
+    permutations of each degree, one permutation at a time, in a plain dict."""
+    total = {}
+    for n in expr.degrees():
+        part = NCSymExpr(expr.basis, {pi: c for pi, c in expr.terms.items() if sp_size(pi) == n})
+        for delta in permutations(n):
+            for pi, c in delta_action(delta, part).terms.items():
+                total[pi] = total.get(pi, 0) + c
+    return NCSymExpr(expr.basis, {pi: c for pi, c in total.items() if c})
+
+
+def test_symmetrize_example():
+    # 12/3 is fixed by the 2 permutations that swap 1 and 2 or fix all
+    assert symmetrize(single("h", "12/3")) == NCSymExpr("h", {
+        parse_set_partition(text): 2 for text in ("12/3", "13/2", "1/23")
+    })
+    assert symmetrize(single("m", "1/2/3")) == single("m", "1/2/3").scale(6)
+
+
+def test_symmetrize_equals_the_walk_on_every_source_function():
+    shapes = skew_shapes(5, 3)
+    assert len(shapes) == 257
+    for shape in shapes:
+        base = source_skew_schur(shape)
+        assert symmetrize(base) == walk_symmetrize(base), shape
+
+
+_indices = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.sampled_from(set_partitions(n))
+)
+_coeffs = st.fractions(max_denominator=6, min_value=Fraction(-5), max_value=Fraction(5))
+
+
+@given(st.builds(NCSymExpr, st.sampled_from("mpeh"), st.dictionaries(_indices, _coeffs, max_size=4)))
+@settings(max_examples=60, deadline=None)
+def test_symmetrize_equals_the_walk_on_random_expressions(f):
+    assert symmetrize(f) == walk_symmetrize(f)
+
+
+@pytest.mark.parametrize("basis", ["s", "st"])
+def test_symmetrize_rejects_schur_input(basis):
+    with pytest.raises(ValueError, match="m/p/e/h"):
+        symmetrize(single(basis, "12/3"))
 
 
 def test_rho_rules():

@@ -15,7 +15,15 @@ from ncschur.combinat import (
     sp_size,
     syt_count,
 )
-from ncschur.verify import suite_iota, suite_prod, suite_rslr, suite_specht
+from ncschur.verify import (
+    suite_iota,
+    suite_lgv,
+    suite_prod,
+    suite_rslr,
+    suite_rsrefines,
+    suite_specht,
+    suite_transpose,
+)
 
 
 def test_rslr_catches_a_dropped_pair(monkeypatch):
@@ -163,3 +171,33 @@ def test_specht_catches_a_rank_that_is_neither_0_nor_the_standard_count(monkeypa
     assert not report.ok
     assert report.name == "specht"
     assert report.counterexample == "lam=3.2 rank=4 expected 0 or 5"
+
+
+def wrong_stabilizer_of_one_type(monkeypatch):
+    # symmetrize weighs the block-size type 1.1 by 4 rather than 2
+    orig = ncsym.multiplicity_factorial
+    monkeypatch.setattr(
+        ncsym, "multiplicity_factorial", lambda lam: orig(lam) * (2 if lam == (1, 1) else 1)
+    )
+
+
+def test_rsrefines_catches_a_wrong_orbit_weight(monkeypatch):
+    wrong_stabilizer_of_one_type(monkeypatch)
+    report = suite_rsrefines(max_size=3)
+    assert not report.ok
+    assert report.counterexample == "1.1"
+
+
+def test_lgv_catches_a_wrong_bridge_image(monkeypatch):
+    wrong_stabilizer_of_one_type(monkeypatch)
+    report = suite_lgv(max_size=2, height_cap=2)
+    assert not report.ok
+    assert report.counterexample == "word bridge fails: 1.1 k=1"
+
+
+def test_transpose_catches_a_negated_transposed_schur(monkeypatch):
+    orig = schur.transposed_schur
+    monkeypatch.setattr(schur, "transposed_schur", lambda pi: -orig(pi))
+    report = suite_transpose(max_n=2)
+    assert not report.ok
+    assert report.counterexample == "1"
