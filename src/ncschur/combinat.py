@@ -209,7 +209,7 @@ def ribbon_shape(alpha: Composition) -> SkewShape:
 
 def jacobi_trudi_terms(
     outer: Composition, inner: Partition = ()
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+) -> list[tuple[int, tuple[int, ...]]]:
     """The signed Leibniz expansion of the Jacobi-Trudi determinant with
     entries outer[i] - inner[j] - i + j: for every column permutation eps
     whose entries outer[i] - inner[eps(i)] - i + eps(i) are all
@@ -219,20 +219,26 @@ def jacobi_trudi_terms(
     cannot contribute are never built."""
     ell = len(outer)
     inner = tuple(inner) + (0,) * (ell - len(inner))
+    # each row's non-negative entries, as (column, entry) in column order
+    rows = [[(j, c) for j in range(ell) if (c := outer[i] - inner[j] - i + j) >= 0]
+            for i in range(ell)]
+    out: list[tuple[int, tuple[int, ...]]] = []
+    _leibniz(rows, 0, 0, 1, (), out)
+    return out
 
-    def rec(i: int, used: int, sign: int, entries: tuple[int, ...]):
-        if i == ell:
-            yield sign, entries
-            return
-        for j in range(ell):
-            c = outer[i] - inner[j] - i + j
-            if used >> j & 1 or c < 0:
-                continue
-            # columns already used right of this one each make an inversion
-            step = -1 if (used >> (j + 1)).bit_count() % 2 else 1
-            yield from rec(i + 1, used | 1 << j, sign * step, entries + (c,))
 
-    yield from rec(0, 0, 1, ())
+def _leibniz(rows, i: int, used: int, sign: int, entries: tuple[int, ...], out: list):
+    # a module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, which would keep out alive until the collector runs
+    if i == len(rows):
+        out.append((sign, entries))
+        return
+    for j, c in rows[i]:
+        if used >> j & 1:
+            continue
+        # columns already used right of this one each make an inversion
+        _leibniz(rows, i + 1, used | 1 << j, -sign if (used >> (j + 1)).bit_count() & 1 else sign,
+                 entries + (c,), out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +327,13 @@ def permute_set_partition(delta: Perm, pi: SetPartition) -> SetPartition:
     if len(delta) != sp_size(pi):
         raise ValueError("permutation size must match the set partition")
     return canonical_set_partition(tuple(delta[x - 1] for x in b) for b in pi)
+
+
+def relabel(delta: Perm, pi: SetPartition) -> SetPartition:
+    """permute_set_partition without its checks: delta must be a permutation
+    of pi's size and pi canonical. Its blocks are disjoint, so sorting them
+    as tuples orders them by least element."""
+    return tuple(sorted([tuple(sorted([delta[x - 1] for x in b])) for b in pi]))
 
 
 def set_partitions(n: int) -> tuple[SetPartition, ...]:

@@ -27,6 +27,7 @@ from .combinat import (
     parse_set_partition,
     parts_factorial,
     permute_set_partition,
+    relabel,
     set_partitions,
     shape_of,
     slash,
@@ -263,9 +264,9 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
 def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:
     """Expand the Schur-type bases: "s" into the h-basis, "st" into the
     e-basis with the same coefficients."""
-    from .schur import standard_schur
+    from .schur import _schur_columns
 
-    return expr.map_terms(lambda pi: standard_schur(pi).terms, "h" if expr.basis == "s" else "e")
+    return expr.map_terms(_schur_columns(), "h" if expr.basis == "s" else "e")
 
 
 def to_h(expr: NCSymExpr) -> NCSymExpr:
@@ -323,9 +324,14 @@ def delta_action(delta: Perm, expr: NCSymExpr) -> NCSymExpr:
     """Relabel every index by the permutation. Defined on the m/p/e/h bases."""
     if expr.basis not in ("m", "p", "e", "h"):
         raise ValueError("the permutation action needs an m/p/e/h expression")
-    return NCSymExpr._trusted(expr.basis, add_up(
-        (permute_set_partition(delta, pi), c) for pi, c in expr.terms.items()
-    ))
+    n = len(delta)
+    if sorted(delta) != list(range(1, n + 1)) or any(sp_size(pi) != n for pi in expr.terms):
+        # the checked relabelling raises the error of the first bad term
+        return NCSymExpr._trusted(expr.basis, add_up(
+            (permute_set_partition(delta, pi), c) for pi, c in expr.terms.items()
+        ))
+    # a permutation moves distinct set partitions to distinct ones
+    return NCSymExpr._trusted(expr.basis, {relabel(delta, pi): c for pi, c in expr.terms.items()})
 
 
 def symmetrize(expr: NCSymExpr) -> NCSymExpr:

@@ -38,18 +38,27 @@ from .combinat import (
     perm_sign,
     permute_set_partition,
     permutations,
+    relabel,
     ribbon_shape,
     row_equivalence_class,
     set_partitions,
     shape_of,
     shifted_concat,
     skew,
-    sp_size,
     ssyt,
 )
 from .expr_format import add_up
 from .ncpoly import NCPoly
-from .ncsym import NCSymExpr, basis_order, coproduct, delta_action, symmetrize, to_h, to_m
+from .ncsym import (
+    NCSymExpr,
+    _integer_degrees,
+    basis_order,
+    coproduct,
+    delta_action,
+    symmetrize,
+    to_h,
+    to_m,
+)
 # littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
 from .sym import SymExpr, littlewood_richardson, lr_coefficients  # noqa: F401
 
@@ -106,6 +115,37 @@ def tabloid_schur(t: YoungTableau) -> NCSymExpr:
 # ---------------------------------------------------------------------------
 # the Schur basis and its transition matrix
 
+def _schur_columns(scale=None):
+    """A call-local map from a set partition pi to the h-terms of
+    standard_schur(pi): the source function of pi's shape, made once per
+    shape (and passed through scale, if given), relabelled by the reading
+    word of delta_pi, the blocks of pi longest first, ties by least entry."""
+    sources: dict[Partition, dict] = {}
+
+    def column(pi: SetPartition) -> dict:
+        rows = sorted(pi, key=lambda b: (-len(b), b[0]))
+        lam = tuple(map(len, rows))
+        base = sources.get(lam)
+        if base is None:
+            base = source_skew_schur(SkewShape(lam, ())).terms
+            base = sources[lam] = scale(base) if scale else base
+        word = tuple(x for b in rows for x in b)
+        # a permutation moves distinct set partitions to distinct ones
+        return {relabel(word, sig): c for sig, c in base.items()}
+
+    return column
+
+
+def _normalized(terms: dict) -> dict:
+    """Coefficients in the basis h_sigma / lambda(sigma)!: integers, as each
+    determinant term is sign / lambda(key)!; a non-integer is kept exact."""
+    out = {}
+    for sig, c in terms.items():
+        x = c * parts_factorial(shape_of(sig))
+        out[sig] = x.numerator if x.denominator == 1 else x
+    return out
+
+
 @cache
 def schur_transition(n: int):
     """The degree-n matrix writing each Schur basis element in the h-basis:
@@ -114,8 +154,9 @@ def schur_transition(n: int):
     order = basis_order(n)
     pos = {pi: i for i, pi in enumerate(order)}
     mat = [[Fraction(0)] * len(order) for _ in order]
+    column = _schur_columns()
     for j, pi in enumerate(order):
-        for sig, c in standard_schur(pi).terms.items():
+        for sig, c in column(pi).items():
             mat[pos[sig]][j] = c
     return mat
 
@@ -134,28 +175,30 @@ def normalized_schur_transition(n: int):
 def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
     """Rewrite an h-basis expression in the Schur basis by back-substitution.
     In basis order the Schur element on pi is h_pi / lambda(pi)! plus
-    h-terms on earlier indices (schur_transition is upper triangular), so,
-    walking each degree from its last index down, the remaining coefficient
-    c of h_pi gives the coefficient lambda(pi)! c of s_pi, and that multiple
-    of the Schur element is taken away."""
+    h-terms on earlier indices (schur_transition is upper triangular). Over
+    the basis h_sigma / lambda(sigma)! its column is an integer vector with
+    a leading 1, so each degree is scaled once by the lcm of its
+    denominators and solved in integers: walking the degree from its last
+    index down, the remaining coefficient of h_pi / lambda(pi)! is that of
+    s_pi, and that multiple of the column is taken away."""
     if expr.basis != "h":
         raise ValueError("h_to_schur needs an h-basis expression")
-    rest = dict(expr.terms)
+    column = _schur_columns(_normalized)
     out: dict[SetPartition, Fraction] = {}
-    for n in sorted({sp_size(pi) for pi in rest}):
+    for n, ints, den in sorted(_integer_degrees(expr.terms), key=lambda d: d[0]):
+        rest = {pi: a * parts_factorial(shape_of(pi)) for pi, a in ints.items()}
         passed: set[SetPartition] = set()
         for pi in reversed(basis_order(n)):
             passed.add(pi)
-            c = rest.pop(pi, 0)
-            if not c:
+            b = rest.pop(pi, 0)
+            if not b:
                 continue
-            column = standard_schur(pi).terms
-            lead = parts_factorial(shape_of(pi))
-            if column.get(pi, 0) * lead != 1:
+            col = column(pi)
+            if col.get(pi, 0) != 1:
                 raise ArithmeticError(f"unexpected leading coefficient at degree {n}, "
                                       f"index {format_set_partition(pi)}")
-            out[pi] = c * lead
-            for sig, a in column.items():
+            out[pi] = Fraction(b, den)
+            for sig, a in col.items():
                 if sig == pi:
                     continue
                 if sig in passed:
@@ -163,7 +206,7 @@ def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
                         f"Schur transition matrix not triangular at degree {n}: row "
                         f"{format_set_partition(sig)}, column {format_set_partition(pi)}"
                     )
-                rest[sig] = rest.get(sig, 0) - out[pi] * a
+                rest[sig] = rest.get(sig, 0) - b * a
     return NCSymExpr._trusted("s", out)
 
 
@@ -225,7 +268,8 @@ def _identity(lam: Partition) -> Perm:
 def permuted_basis(delta: Perm, n: int) -> list[NCSymExpr]:
     """The family of the permutation acting on every degree-n Schur basis
     element, as h-basis expressions."""
-    return [delta_action(delta, standard_schur(pi)) for pi in basis_order(n)]
+    column = _schur_columns()
+    return [delta_action(delta, NCSymExpr._trusted("h", column(pi))) for pi in basis_order(n)]
 
 
 def family_rank(family: list[NCSymExpr], n: int) -> int:

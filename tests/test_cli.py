@@ -162,6 +162,12 @@ def test_act(capsys):
     assert out.strip() == "h[13/2]"
 
 
+def test_act_with_a_permutation_of_the_wrong_size(capsys):
+    code, out, err = run(capsys, "act", "--basis", "h", "--index", "12/3", "--delta", "12")
+    assert (code, out) == (2, "")
+    assert err == "permutation size must match the set partition\n"
+
+
 def test_rho(capsys):
     code, out, _ = run(capsys, "rho", "--basis", "h", "--index", "13/2")
     assert code == 0

@@ -26,7 +26,10 @@ from ncschur.combinat import (
     parse_skew,
     partition_stats,
     partitions,
+    permutations,
+    permute_set_partition,
     refines,
+    relabel,
     ribbon_shape,
     set_partitions,
     shape_of,
@@ -222,6 +225,13 @@ def test_tableau_validation():
         tableau(SkewShape((2, 1), ()), [(1, 2), (2,)])
     t = tableau(SkewShape((2, 1), ()), [(1, 3), (2,)])
     assert t.reading_word() == (1, 3, 2)
+
+
+def test_relabel_matches_permute_set_partition():
+    for n in range(6):
+        for delta in permutations(n):
+            for pi in set_partitions(n):
+                assert relabel(delta, pi) == permute_set_partition(delta, pi), (delta, pi)
 
 
 def leibniz_expansion(outer, inner=()):

@@ -174,6 +174,24 @@ def test_delta_action_preserves_commutative_image_on_p():
         assert oracle_expand(g, 3).commutative_image() == oracle_expand(f, 3).commutative_image()
 
 
+@pytest.mark.parametrize("delta, texts, why", [
+    ((1, 1, 2), ["12/3"], r"^blocks do not partition an initial interval: \(\(1, 1\), \(2,\)\)$"),
+    ((1, 2), ["12/3"], "^permutation size must match the set partition$"),
+    # the first term fits, the second does not
+    ((2, 1), ["1/2", "12/3"], "^permutation size must match the set partition$"),
+])
+def test_delta_action_rejects_what_the_checked_relabelling_rejects(delta, texts, why):
+    f = NCSymExpr("h", {parse_set_partition(text): 1 for text in texts})
+    with pytest.raises(ValueError, match=why):
+        delta_action(delta, f)
+
+
+@pytest.mark.parametrize("basis", ["s", "st"])
+def test_delta_action_rejects_schur_input(basis):
+    with pytest.raises(ValueError, match="^the permutation action needs an m/p/e/h expression$"):
+        delta_action((1, 3, 2), single(basis, "12/3"))
+
+
 def walk_symmetrize(expr: NCSymExpr) -> NCSymExpr:
     """The oracle for symmetrize: delta_action summed over all n!
     permutations of each degree, one permutation at a time, in a plain dict."""

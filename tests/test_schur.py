@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncschur.combinat import (
     SkewShape,
@@ -118,9 +120,9 @@ def test_h_to_schur_example():
 def test_h_to_schur_rejects_a_bad_transition_column(monkeypatch):
     import ncschur.schur as schur
 
-    good = schur.standard_schur
+    good = schur.source_skew_schur
     h = NCSymExpr.single("h", sp("1/2"))
-    monkeypatch.setattr(schur, "standard_schur", lambda pi: good(pi).scale(2))
+    monkeypatch.setattr(schur, "source_skew_schur", lambda shape: good(shape).scale(2))
     with pytest.raises(ArithmeticError, match=r"^unexpected leading coefficient at degree 2, "
                        r"index 1/2$"):
         h_to_schur(h)
@@ -128,12 +130,87 @@ def test_h_to_schur_rejects_a_bad_transition_column(monkeypatch):
     below = NCSymExpr.single("h", sp("1/2/3"))
     monkeypatch.setattr(
         schur,
-        "standard_schur",
-        lambda pi: good(pi) + below if pi == sp("12/3") else good(pi),
+        "source_skew_schur",
+        lambda shape: good(shape) + below if shape == skew((2, 1)) else good(shape),
     )
     with pytest.raises(ArithmeticError, match=r"^Schur transition matrix not triangular at "
                        r"degree 3: row 1/2/3, column 12/3$"):
         h_to_schur(NCSymExpr.single("h", sp("12/3")))
+
+
+def fraction_h_to_schur(expr: NCSymExpr) -> NCSymExpr:
+    """The oracle for h_to_schur: back-substitution in Fractions over the
+    columns standard_schur(pi), one rebuilt per pivot."""
+    rest = dict(expr.terms)
+    out = {}
+    for n in sorted({sum(map(len, pi)) for pi in rest}):
+        passed = set()
+        for pi in reversed(basis_order(n)):
+            passed.add(pi)
+            c = rest.pop(pi, 0)
+            if not c:
+                continue
+            column = standard_schur(pi).terms
+            lead = parts_factorial(shape_of(pi))
+            assert column[pi] * lead == 1
+            out[pi] = c * lead
+            for sig, a in column.items():
+                if sig != pi:
+                    assert sig not in passed
+                    rest[sig] = rest.get(sig, 0) - out[pi] * a
+    return NCSymExpr("s", out)
+
+
+def same_terms(got: NCSymExpr, want: NCSymExpr) -> bool:
+    """Equal as expressions, with the same Fraction coefficients in the same order."""
+    return got.basis == want.basis and list(got.terms.items()) == list(want.terms.items()) and all(
+        type(c) is Fraction for c in got.terms.values()
+    )
+
+
+def test_h_to_schur_matches_the_fraction_back_substitution():
+    for n in range(7):
+        for pi in set_partitions(n):
+            h = NCSymExpr.single("h", pi)
+            assert same_terms(h_to_schur(h), fraction_h_to_schur(h)), pi
+
+
+_h_indices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.sampled_from(set_partitions(n))
+)
+_h_coeffs = st.fractions(max_denominator=12, min_value=Fraction(-7), max_value=Fraction(7))
+
+
+@given(st.dictionaries(_h_indices, _h_coeffs, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_h_to_schur_matches_the_oracle_on_mixed_degrees(terms):
+    h = NCSymExpr("h", terms)
+    assert same_terms(h_to_schur(h), fraction_h_to_schur(h))
+
+
+def counting_sources(monkeypatch):
+    import ncschur.schur as schur
+
+    calls = []
+    good = schur.source_skew_schur
+    monkeypatch.setattr(schur, "source_skew_schur", lambda shape: calls.append(shape) or good(shape))
+    return calls
+
+
+def test_h_to_schur_builds_one_source_function_per_shape(monkeypatch):
+    calls = counting_sources(monkeypatch)
+    h_to_schur(NCSymExpr.single("h", sp("1/2/3/4/5/6/7")))
+    assert len(calls) == len(set(calls)) == 15  # the partitions of 7
+
+
+def test_a_cold_schur_transition_builds_one_source_function_per_shape(monkeypatch):
+    calls = counting_sources(monkeypatch)
+    schur_transition.cache_clear()
+    try:
+        schur_transition(5)
+    finally:
+        schur_transition.cache_clear()
+    assert len(calls) == len(set(calls)) == 7  # the partitions of 5
 
 
 def test_schur_conversion_round_trip():
