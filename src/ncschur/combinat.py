@@ -305,24 +305,6 @@ def mobius_top(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-def bottom_mobius(sigma: SetPartition) -> int:
-    """mu(bottom, sigma): the product over the blocks B of sigma of
-    (-1)^(|B|-1) (|B|-1)!."""
-    return prod(mobius_top(len(b)) for b in sigma)
-
-
-def upper_interval(pi: SetPartition) -> Iterator[tuple[SetPartition, int]]:
-    """Every sigma >= pi, with the Moebius value mu(pi, sigma). The interval
-    is the lattice of set partitions of the blocks of pi: each set
-    partition rho of their positions merges them into one sigma, and
-    mu(pi, sigma) = mu(bottom, rho)."""
-    for rho in set_partitions(len(pi)):
-        # merged blocks keep the order of their least positions, hence of
-        # their least elements: sigma comes out canonical
-        sigma = tuple(tuple(sorted(x for i in c for x in pi[i - 1])) for c in rho)
-        yield sigma, bottom_mobius(rho)
-
-
 def permute_set_partition(delta: Perm, pi: SetPartition) -> SetPartition:
     if len(delta) != sp_size(pi):
         raise ValueError("permutation size must match the set partition")

@@ -19,7 +19,6 @@ from functools import cache
 from .combinat import (
     Perm,
     SetPartition,
-    bottom_mobius,
     canonical_set_partition,
     format_set_partition,
     meet,
@@ -33,7 +32,6 @@ from .combinat import (
     slash,
     sp_size,
     multiplicity_factorial,
-    upper_interval,
 )
 from .expr_format import LinearCombination, add_up
 from .ncpoly import NCPoly
@@ -109,6 +107,11 @@ def _subsets(mask: int):
     yield 0
 
 
+def _masks(pi: SetPartition) -> list[int]:
+    """The bitmasks of the blocks of pi: element x is bit x - 1."""
+    return [sum(1 << (x - 1) for x in b) for b in pi]
+
+
 class _CodedLattice:
     """Down-sets in the lattice of set partitions of {1..n} as lists of
     integer codes and weights. A code gives element x the digit (least
@@ -126,16 +129,22 @@ class _CodedLattice:
         for x in range(1, n + 1):
             self.place += [v + n ** (x - 1) for v in self.place]
             self.names += [t + (x,) for t in self.names]
-        self.codes, self.shapes, self.weights = [[0]] + [None] * ((1 << n) - 1), {0: [(0, 1)]}, {}
+        self.blocks = [([0], [1])] + [None] * ((1 << n) - 1)  # per bitmask: see block()
+        self.shapes, self.weights = {0: [(0, 1)]}, {}
 
-    def block(self, mask: int) -> list[int]:
-        if self.codes[mask] is None:
+    def block(self, mask: int) -> tuple[list[int], list[int]]:
+        """The codes of the set partitions of the block and their weights."""
+        if self.blocks[mask] is None:
             low = mask & -mask
-            self.codes[mask] = [
-                (low.bit_length() - 1) * self.place[low | sub] + c
-                for sub in _subsets(mask ^ low) for c in self.block(mask ^ low ^ sub)
-            ]
-        return self.codes[mask]
+            digit, codes = low.bit_length() - 1, []
+            for sub in _subsets(mask ^ low):
+                rest = (self.blocks[mask ^ low ^ sub] or self.block(mask ^ low ^ sub))[0]
+                place = digit * self.place[low | sub]
+                codes += [place + c for c in rest] if place else rest
+            if (k := mask.bit_count()) not in self.weights:
+                self.weights[k] = [self.by_count[c] * v for c, v in self.shape(k)]
+            self.blocks[mask] = codes, self.weights[k]
+        return self.blocks[mask]
 
     def shape(self, k: int) -> list[tuple[int, int]]:
         # the number of blocks and the product of by_size, in block() order
@@ -147,14 +156,13 @@ class _CodedLattice:
             ]
         return self.shapes[k]
 
-    def down_set(self, sigma: SetPartition, scale: int = 1):
-        """The codes of the tau <= sigma, and scale times the product of the
-        weights of tau inside the blocks of sigma."""
+    def down_set(self, masks, scale: int = 1):
+        """The codes of the tau <= sigma, sigma given by the bitmasks of its
+        blocks (see _masks), and scale times the product of the weights of
+        tau inside the blocks of sigma."""
         codes, weights = [0], [scale]
-        for b in sigma:
-            if len(b) not in self.weights:
-                self.weights[len(b)] = [self.by_count[c] * v for c, v in self.shape(len(b))]
-            block, block_weights = self.block(sum(1 << (x - 1) for x in b)), self.weights[len(b)]
+        for mask in masks:
+            block, block_weights = self.blocks[mask] or self.block(mask)
             codes = [c + d for c in codes for d in block]
             weights = [v * w for v in weights for w in block_weights]
         return codes, weights
@@ -163,7 +171,7 @@ class _CodedLattice:
         """Every set partition sigma of {1..n} with the codes of its
         down-set. sigma is built block by block, each block holding the
         least element not yet placed, so that prefixes share their sumsets."""
-        lists = [self.block(mask) for mask in range(len(self.codes))]
+        lists = [self.block(mask)[0] for mask in range(len(self.blocks))]
 
         def walk(rest, codes, prefix):
             if not rest:
@@ -175,7 +183,7 @@ class _CodedLattice:
                 yield from walk(rest ^ low ^ sub, [c + d for c in codes for d in block],
                                 prefix + (self.names[low | sub],))
 
-        return walk(len(self.codes) - 1, [0], ())
+        return walk(len(self.blocks) - 1, [0], ())
 
 
 def _integer_degrees(terms: dict):
@@ -209,7 +217,7 @@ def to_m(expr: NCSymExpr) -> NCSymExpr:
             if expr.basis == "p":
                 codes, weights = [sum((b[0] - 1) * n ** (x - 1) for b in pi for x in b)], [a]
             else:
-                codes, weights = lattice.down_set(pi, a)
+                codes, weights = lattice.down_set(_masks(pi), a)
             for c, w in zip(codes, weights):
                 p[c] = p.get(c, 0) + w
         for sigma, codes in lattice.down_sets():
@@ -225,39 +233,48 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
     to_m rules gives p_sigma = sum over tau <= sigma of mu(tau, sigma) h_tau
     / |mu(0, sigma)|, and the same for e_tau over mu(0, sigma). mu(tau,
     sigma) is the product over the blocks B of sigma of mu(0, top) in the
-    lattice of the blocks of tau inside B. In integers per degree, the
-    p-terms over mu(0, sigma), scaled by the lcm of their denominators, are
-    scattered over the coded down-sets (see _CodedLattice); only the
-    output codes are decoded."""
+    lattice of the blocks of tau inside B. In integers per degree, on block
+    bitmasks: each set partition rho of the blocks of pi ORs their masks
+    into a canonical sigma >= pi, and mu(pi, sigma) = mu(0, rho). The
+    p-terms over mu(0, sigma) are scattered over the coded down-sets (see
+    _CodedLattice); each tau of the set-partition table reads its
+    coefficient at its code, made from its blocks, so no code is decoded."""
     if expr.basis != "m":
         raise ValueError("from_m needs a monomial-basis expression")
     if target not in ("p", "e", "h"):
         raise ValueError(f"cannot convert into basis {target!r}")
     out = {}
     for n, ints, den in _integer_degrees(expr.terms):
-        p: dict[SetPartition, int] = {}
-        for pi, a in ints.items():
-            for sigma, mu in upper_interval(pi):
-                p[sigma] = p.get(sigma, 0) + a * mu
-        if target == "p":
-            out.update((sigma, Fraction(c, den)) for sigma, c in p.items() if c)
-            continue
-        mus = {sigma: bottom_mobius(sigma) for sigma, c in p.items() if c}
-        if target == "h":
-            mus = {sigma: abs(mu) for sigma, mu in mus.items()}
-        scale = math.lcm(*(abs(mu) // math.gcd(p[sigma], mu) for sigma, mu in mus.items()))
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
-        lattice, acc = _CodedLattice(n, by_count=tops), {}
+        lattice, p = _CodedLattice(n, by_count=tops), {}
+        top_of = {c: tops[len(c)] for c in lattice.names}
+        for pi, a in ints.items():
+            unions = [0]  # per subset s of the positions of pi's blocks: OR of their masks
+            for mask in _masks(pi):
+                unions += [u | mask for u in unions]
+            union = dict(zip(lattice.names, unions))  # keyed by s as a tuple
+            for rho in set_partitions(len(pi)):
+                sigma = tuple(map(union.__getitem__, rho))
+                p[sigma] = p.get(sigma, 0) + a * math.prod(map(top_of.__getitem__, rho))
+        if target == "p":
+            fractions = {c: Fraction(c, den) for c in set(p.values()) if c}
+            out.update((tuple([lattice.names[m] for m in sigma]), fractions[c])
+                       for sigma, c in p.items() if c)
+            continue
+        mu0 = [abs(v) for v in tops] if target == "h" else tops
+        mus = {sigma: math.prod([mu0[m.bit_count()] for m in sigma]) for sigma, c in p.items() if c}
+        scale = math.lcm(*(abs(mu) // math.gcd(p[sigma], mu) for sigma, mu in mus.items()))
+        acc: dict[int, int] = {}
         for sigma, mu in mus.items():
             for code, w in zip(*lattice.down_set(sigma, p[sigma] * scale // mu)):
                 acc[code] = acc.get(code, 0) + w
-        for code, c in acc.items():
-            if c:
-                blocks: dict[int, list[int]] = {}
-                for x in range(1, n + 1):
-                    code, d = divmod(code, n)
-                    blocks.setdefault(d, []).append(x)
-                out[tuple(map(tuple, blocks.values()))] = Fraction(c, den * scale)
+        # a block's share of a code: (its least element - 1) at its places
+        digits = {lattice.names[m]: ((m & -m).bit_length() - 1) * lattice.place[m]
+                  for m in range(1, 1 << n)}
+        fractions = {c: Fraction(c, den * scale) for c in set(acc.values()) if c}
+        for tau in set_partitions(n):
+            if c := acc.get(sum(map(digits.__getitem__, tau))):
+                out[tau] = fractions[c]
     return NCSymExpr._trusted(target, out)
 
 

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from ncschur.combinat import interval_partition, refines, set_partitions
-from ncschur.ncsym import NCSymExpr, _CodedLattice, from_m, to_m
+from ncschur.ncsym import NCSymExpr, _CodedLattice, _masks, from_m, to_m
 
 MAX_DEGREE = 6
 
@@ -49,7 +49,7 @@ def test_down_sets_are_the_refinements(mobius):
     for n in range(MAX_DEGREE + 1):
         lattice = _CodedLattice(n)
         for sigma in set_partitions(n):
-            codes, weights = lattice.down_set(sigma, 3)
+            codes, weights = lattice.down_set(_masks(sigma), 3)
             taus = [decode(c, n) if n else () for c in codes]
             assert len(set(taus)) == len(taus), sigma
             assert set(taus) == {tau for tau in set_partitions(n) if refines(tau, sigma)}
@@ -60,7 +60,7 @@ def test_count_weights_are_the_moebius_function(mobius):
     for n in range(MAX_DEGREE + 1):
         lattice = _CodedLattice(n, by_count=tops(n))
         for sigma in set_partitions(n):
-            codes, weights = lattice.down_set(sigma)
+            codes, weights = lattice.down_set(_masks(sigma))
             got = {decode(c, n) if n else (): w for c, w in zip(codes, weights)}
             assert got == {tau: mobius[n][tau, sigma] for tau in got}, sigma
 
@@ -70,7 +70,7 @@ def test_size_weights_are_the_moebius_function_from_the_bottom(mobius):
         bottom = interval_partition((1,) * n)
         lattice = _CodedLattice(n, tops(n))
         for sigma in set_partitions(n):
-            codes, weights = lattice.down_set(sigma)
+            codes, weights = lattice.down_set(_masks(sigma))
             got = {decode(c, n): w for c, w in zip(codes, weights)}
             assert got == {tau: mobius[n][bottom, tau] for tau in got}, sigma
 
