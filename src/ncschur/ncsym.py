@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from fractions import Fraction
 from functools import cache
 
@@ -37,8 +38,9 @@ from .expr_format import LinearCombination, add_up
 from .ncpoly import NCPoly
 from .sym import SymExpr
 
-# expansion into words makes a list of k^n coefficients per index (about
-# 8 MB at the word limit); anything past these is a mistake, not a job
+# expansion into words makes an array("q") of k^n coefficients per index, 8
+# bytes a word (8 MB at the word limit); each coefficient is at most n!, far
+# inside int64; anything past these is a mistake, not a job
 ORACLE_DEGREE_LIMIT = 8
 ORACLE_WORD_LIMIT = 10**6
 
@@ -107,6 +109,14 @@ def _subsets(mask: int):
     yield 0
 
 
+def _names(n: int) -> list[tuple[int, ...]]:
+    """Per bitmask over {1..n} (element x is bit x - 1): its elements."""
+    names = [()]
+    for x in range(1, n + 1):
+        names += [t + (x,) for t in names]
+    return names
+
+
 def _masks(pi: SetPartition) -> list[int]:
     """The bitmasks of the blocks of pi: element x is bit x - 1."""
     return [sum(1 << (x - 1) for x in b) for b in pi]
@@ -124,11 +134,11 @@ class _CodedLattice:
     of by_size[size] over its blocks."""
 
     def __init__(self, n: int, by_size=None, by_count=None):
+        self.n = n
         self.by_size, self.by_count = by_size or [1] * (n + 1), by_count or [1] * (n + 1)
-        self.place, self.names = [0], [()]  # per bitmask: sum of n^(x - 1), its x
+        self.place = [0]  # per bitmask: the sum of n^(x - 1) over its x
         for x in range(1, n + 1):
             self.place += [v + n ** (x - 1) for v in self.place]
-            self.names += [t + (x,) for t in self.names]
         self.blocks = [([0], [1])] + [None] * ((1 << n) - 1)  # per bitmask: see block()
         self.shapes, self.weights = {0: [(0, 1)]}, {}
 
@@ -172,6 +182,7 @@ class _CodedLattice:
         down-set. sigma is built block by block, each block holding the
         least element not yet placed, so that prefixes share their sumsets."""
         lists = [self.block(mask)[0] for mask in range(len(self.blocks))]
+        names = _names(self.n)
 
         def walk(rest, codes, prefix):
             if not rest:
@@ -181,7 +192,7 @@ class _CodedLattice:
             for sub in _subsets(rest ^ low):
                 block = lists[low | sub]
                 yield from walk(rest ^ low ^ sub, [c + d for c in codes for d in block],
-                                prefix + (self.names[low | sub],))
+                                prefix + (names[low | sub],))
 
         return walk(len(self.blocks) - 1, [0], ())
 
@@ -246,21 +257,22 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
     out = {}
     for n, ints, den in _integer_degrees(expr.terms):
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
-        lattice, p = _CodedLattice(n, by_count=tops), {}
-        top_of = {c: tops[len(c)] for c in lattice.names}
+        names, p = _names(n), {}
+        top_of = {c: tops[len(c)] for c in names}
         for pi, a in ints.items():
             unions = [0]  # per subset s of the positions of pi's blocks: OR of their masks
             for mask in _masks(pi):
                 unions += [u | mask for u in unions]
-            union = dict(zip(lattice.names, unions))  # keyed by s as a tuple
+            union = dict(zip(names, unions))  # keyed by s as a tuple
             for rho in set_partitions(len(pi)):
                 sigma = tuple(map(union.__getitem__, rho))
                 p[sigma] = p.get(sigma, 0) + a * math.prod(map(top_of.__getitem__, rho))
         if target == "p":
             fractions = {c: Fraction(c, den) for c in set(p.values()) if c}
-            out.update((tuple([lattice.names[m] for m in sigma]), fractions[c])
+            out.update((tuple([names[m] for m in sigma]), fractions[c])
                        for sigma, c in p.items() if c)
             continue
+        lattice = _CodedLattice(n, by_count=tops)
         mu0 = [abs(v) for v in tops] if target == "h" else tops
         mus = {sigma: math.prod([mu0[m.bit_count()] for m in sigma]) for sigma, c in p.items() if c}
         scale = math.lcm(*(abs(mu) // math.gcd(p[sigma], mu) for sigma, mu in mus.items()))
@@ -269,7 +281,7 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
             for code, w in zip(*lattice.down_set(sigma, p[sigma] * scale // mu)):
                 acc[code] = acc.get(code, 0) + w
         # a block's share of a code: (its least element - 1) at its places
-        digits = {lattice.names[m]: ((m & -m).bit_length() - 1) * lattice.place[m]
+        digits = {names[m]: ((m & -m).bit_length() - 1) * lattice.place[m]
                   for m in range(1, 1 << n)}
         fractions = {c: Fraction(c, den * scale) for c in set(acc.values()) if c}
         for tau in set_partitions(n):
@@ -415,6 +427,9 @@ def coproduct(expr: NCSymExpr, i: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # expansion into noncommuting words
 
+_ZERO = array("q", [0])  # repeated into a zero vector of any length
+
+
 def _check_size(basis: str, pi: SetPartition, k: int):
     n, name = sp_size(pi), f"oracle expansion of {basis}[{format_set_partition(pi)}]"
     if n > ORACLE_DEGREE_LIMIT:
@@ -425,14 +440,15 @@ def _check_size(basis: str, pi: SetPartition, k: int):
         )
 
 
-def _spread(vals: list[int], letters, target, k: int) -> list[int]:
+def _spread(vals: array, letters, target, k: int) -> array:
     """Weights over the digits of letters (positions, increasing), indexed
     base k in position order, repeated over the sorted positions target
-    that contain them: run by run from the right, a run of free positions
-    repeats each chunk of k^(positions to its right) entries k^(run length)
-    times. Where the chunks outnumber the chunk * copies entries of one
-    repeated chunk, the copy goes column by column instead: the strided
-    column vals[t::chunk] lands at every place t + j * chunk of the repeat."""
+    that contain them, as an array("q"): run by run from the right, a run
+    of free positions repeats each chunk of k^(positions to its right)
+    entries k^(run length) times. Where the chunks outnumber the chunk *
+    copies entries of one repeated chunk, the copy goes column by column
+    instead: the strided column vals[t::chunk] lands at every place
+    t + j * chunk of the repeat."""
     inside = {i for i, x in enumerate(target, 1) if x in letters}
     end = len(target)
     while end > 0:
@@ -443,13 +459,13 @@ def _spread(vals: list[int], letters, target, k: int) -> list[int]:
             chunk, copies = k ** (len(target) - end), k ** (end - start)
             width = chunk * copies
             if len(vals) // chunk > width:
-                spread = [0] * (len(vals) * copies)
+                spread = _ZERO * (len(vals) * copies)
                 for t in range(chunk):
                     column = vals[t::chunk]
                     for j in range(t, width, chunk):
                         spread[j::width] = column
             else:
-                spread = []
+                spread = array("q")
                 for i in range(0, len(vals), chunk):
                     spread += vals[i:i + chunk] * copies
             vals = spread
@@ -457,61 +473,61 @@ def _spread(vals: list[int], letters, target, k: int) -> list[int]:
     return vals
 
 
-def _words(n: int, k: int, pools) -> list[int]:
-    """The word expansion of degree n over x_1..x_k as a list of k^n
+def _words(n: int, k: int, pools) -> array:
+    """The word expansion of degree n over x_1..x_k as an array("q") of k^n
     coefficients: the word w_1...w_n sits at the base-k integer sum over x
     of (w_x - 1) k^(n - x). A pool is a tuple of letters (positions, in
-    increasing order) and a list of weights over their digits (letter - 1),
-    indexed the same way. The pools multiply over their joint letters, so
-    each step has k^(letters covered) entries, and the product spreads to
-    1..n once at the end. A pool whose least letter follows every covered
-    letter (the first pool among them) multiplies as an outer product: its
-    digits come after the covered ones, so the product over the two sets of
-    letters is one copy of the pool per entry of the product so far, scaled
-    by that entry and made once per distinct entry (a 1 reuses the pool and
-    a 0 multiplies nothing). Any other pool and the product so far both
-    spread to the joint letters and multiply entry by entry. A pool whose
-    weights are all 1 is skipped, and so with no other pool every word has
-    coefficient 1."""
-    out, covered = [1], ()
+    increasing order) and an array("q") of weights over their digits
+    (letter - 1), indexed the same way. The pools multiply over their joint
+    letters, so each step has k^(letters covered) entries, and the product
+    spreads to 1..n once at the end. A pool whose least letter follows
+    every covered letter (the first pool among them) multiplies as an outer
+    product: its digits come after the covered ones, so the product over
+    the two sets of letters is one copy of the pool per entry of the
+    product so far, scaled by that entry and made once per distinct entry
+    (a 1 reuses the pool and a 0 multiplies nothing). Any other pool and
+    the product so far both spread to the joint letters and multiply entry
+    by entry. A pool whose weights are all 1 is skipped, and so with no
+    other pool every word has coefficient 1."""
+    out, covered = array("q", [1]), ()
     for letters, vals in pools:
         if vals.count(1) == len(vals):
             continue
         if not covered or covered[-1] < min(letters):
-            rows = {c: vals if c == 1 else [0] * len(vals) if c == 0 else [c * v for v in vals]
-                    for c in set(out)}
-            product = []
+            rows = {c: vals if c == 1 else _ZERO * len(vals) if c == 0
+                    else array("q", map(c.__mul__, vals)) for c in set(out)}
+            product = array("q")
             for c in out:
                 product += rows[c]
             out, covered = product, (*covered, *letters)
         else:
             joint = tuple(sorted({*covered, *letters}))
-            out = list(map(operator.mul, _spread(out, covered, joint, k),
-                           _spread(vals, letters, joint, k)))
+            out = array("q", map(operator.mul, _spread(out, covered, joint, k),
+                                 _spread(vals, letters, joint, k)))
             covered = joint
     return _spread(out, covered, range(1, n + 1), k)
 
 
-def _by_blocks(pi: SetPartition, k: int, weights) -> list[int]:
+def _by_blocks(pi: SetPartition, k: int, weights) -> array:
     """The expansion with one pool per block of pi, its weights made by
     weights(size, k) once per block size: the p/e/h weights of a block
     depend only on its size, and are symmetric in its letters."""
-    by_size: dict[int, list[int]] = {}
+    by_size: dict[int, array] = {}
     for b in pi:
         if len(b) not in by_size:
             by_size[len(b)] = weights(len(b), k)
     return _words(sp_size(pi), k, [(b, by_size[len(b)]) for b in pi])
 
 
-def _scatter(size: int, k: int, tuples, place) -> list[int]:
+def _scatter(size: int, k: int, tuples, place) -> array:
     # weight 1 at each tuple of digits, read at the given place values
-    vals = [0] * k**size
+    vals = _ZERO * k**size
     for t in tuples:
         vals[sum(map(operator.mul, t, place))] = 1
     return vals
 
 
-def _expand_m(pi: SetPartition, k: int) -> list[int]:
+def _expand_m(pi: SetPartition, k: int) -> array:
     # one joint pool: a digit per block, constant on it, distinct across blocks
     n = sp_size(pi)
     place = [sum(k ** (n - x) for x in b) for b in pi]
@@ -519,39 +535,40 @@ def _expand_m(pi: SetPartition, k: int) -> list[int]:
     return _words(n, k, [(range(1, n + 1), vals)])
 
 
-def _p_weights(size: int, k: int) -> list[int]:
+def _p_weights(size: int, k: int) -> array:
     # one digit repeated over the block
     return _scatter(size, k, ((v,) for v in range(k)), [sum(k**i for i in range(size))])
 
 
-def _e_weights(size: int, k: int) -> list[int]:
+def _e_weights(size: int, k: int) -> array:
     # distinct digits within a block
     place = [k ** (size - 1 - i) for i in range(size)]
     return _scatter(size, k, itertools.permutations(range(k), size), place)
 
 
-def _h_weights(size: int, k: int) -> list[int]:
+def _h_weights(size: int, k: int) -> array:
     # the double sum over block-fixing permutations composed with weakly
     # increasing values per block, collapsed: within one block every tuple
     # of values occurs, and the number of (sorted tuple, permutation) pairs
     # producing it is the product of its value-multiplicity factorials;
     # appending a digit d multiplies it by the number of d's then in the tuple
-    vals = [1]
+    vals = array("q", [1])
     for s in range(size):
         prefixes = itertools.product(range(k), repeat=s)
-        vals = [v * (t.count(d) + 1) for t, v in zip(prefixes, vals) for d in range(k)]
+        vals = array("q", (v * (t.count(d) + 1)
+                           for t, v in zip(prefixes, vals) for d in range(k)))
     return vals
 
 
-def _expand_p(pi: SetPartition, k: int) -> list[int]:
+def _expand_p(pi: SetPartition, k: int) -> array:
     return _by_blocks(pi, k, _p_weights)
 
 
-def _expand_e(pi: SetPartition, k: int) -> list[int]:
+def _expand_e(pi: SetPartition, k: int) -> array:
     return _by_blocks(pi, k, _e_weights)
 
 
-def _expand_h(pi: SetPartition, k: int) -> list[int]:
+def _expand_h(pi: SetPartition, k: int) -> array:
     return _by_blocks(pi, k, _h_weights)
 
 
@@ -560,10 +577,10 @@ _EXPANDERS = {"m": _expand_m, "p": _expand_p, "e": _expand_e, "h": _expand_h}
 
 def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
     """Exact truncated expansion into words over x_1..x_k. The expanders
-    give coefficient lists of length k^n indexed by base-k integers (see
-    _words), which name a word only with its length: the nonzero entries
-    are added up per degree and decoded only here. The guards run on every
-    term before any list is made."""
+    give array("q") coefficient vectors of length k^n indexed by base-k
+    integers (see _words), which name a word only with its length: the
+    nonzero entries are added up per degree and decoded only here. The
+    guards run on every term before any vector is made."""
     if k < 1:
         raise ValueError("need at least one variable")
     for pi in expr.terms:

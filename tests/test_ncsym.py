@@ -1,4 +1,6 @@
 import itertools
+import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -298,19 +300,20 @@ def test_oracle_matches_naive_expansion():
 def test_expanders_key_words_by_base_k_integers():
     # the word w_1...w_n is sum over x of (w_x - 1) k^(n - x), which is its
     # position in the lexicographic order of {1..k}^n and so its index in
-    # the expander's list of k^n coefficients
+    # the expander's array("q") of k^n coefficients
     for n in range(5):
         for k in range(1, 5):
             words = list(itertools.product(range(1, k + 1), repeat=n))
             for basis in "mpeh":
                 for pi in set_partitions(n):
                     expansion = ncsym._EXPANDERS[basis](pi, k)
-                    assert type(expansion) is list and len(expansion) == k**n
+                    assert type(expansion) is array and expansion.typecode == "q"
+                    assert len(expansion) == k**n
                     assert all(type(c) is int for c in expansion)
                     decoded = NCPoly(k, {words[w]: c for w, c in enumerate(expansion) if c})
                     assert decoded == naive_expand(basis, pi, k), (basis, pi, k)
                     if n == 0:
-                        assert expansion == [1]
+                        assert expansion == array("q", [1])
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -318,14 +321,14 @@ def test_h_words_match_the_words_of_their_monomial_expansion(k):
     # h multiplies one pool per block, three nontrivial and crossing for
     # 14/25/36; to_m goes through the coded lattice and m is one joint pool,
     # so this oracle shares neither route. oracle_expand is linear and only
-    # adds up and decodes these lists, so they are compared directly: the
-    # m side adds each m[sigma] list's nonzero entries, once per sigma
+    # adds up and decodes these vectors, so they are compared directly: the
+    # m side adds each m[sigma] vector's nonzero entries, once per sigma
     m_words = {
         sig: [(w, c) for w, c in enumerate(ncsym._EXPANDERS["m"](sig, k)) if c]
         for sig in set_partitions(6)
     }
     for pi in set_partitions(6):
-        expected = [0] * k**6
+        expected = array("q", [0]) * k**6
         for sig, a in to_m(NCSymExpr.single("h", pi)).terms.items():
             assert a.denominator == 1
             for w, c in m_words[sig]:
@@ -343,8 +346,8 @@ def test_spread_matches_its_index_formula():
             for picks in itertools.product((0, 1), repeat=size):
                 letters = tuple(x for x, take in zip(target, picks) if take)
                 for k in range(1, 4):
-                    vals = [7 * i + 3 for i in range(k ** len(letters))]
-                    expected = []
+                    vals = array("q", [7 * i + 3 for i in range(k ** len(letters))])
+                    expected = array("q")
                     for j in range(k**size):
                         digits = [j // k ** (size - 1 - i) % k for i in range(size)]
                         kept = [d for d, take in zip(digits, picks) if take]
@@ -370,10 +373,21 @@ def test_words_outer_product_route_matches_the_joint_letter_route(n, ks):
             # a pool on the last letter weighted by its digit put after it
             # (then that pool is the joint one) or before it (then the m pool is)
             m_vals = ncsym._expand_m(pi, k)
-            expected = [c * (w % k + 1) for w, c in enumerate(m_vals)]
-            m_pools = [(range(1, n + 1), m_vals), ((n,), [d + 1 for d in range(k)])]
+            expected = array("q", [c * (w % k + 1) for w, c in enumerate(m_vals)])
+            m_pools = [(range(1, n + 1), m_vals), ((n,), array("q", [d + 1 for d in range(k)]))]
             assert ncsym._words(n, k, m_pools) == expected, (pi, k)
             assert ncsym._words(n, k, m_pools[::-1]) == expected, (pi, k)
+
+
+def test_largest_coefficient_at_the_oracle_limits_fits_the_word_vector():
+    # h of one block of the largest degree, over the most variables that the
+    # word limit allows there: a word of one letter repeated eight times
+    # weighs 8!, the largest coefficient that any word vector can hold
+    expansion = ncsym._EXPANDERS["h"](((1, 2, 3, 4, 5, 6, 7, 8),), 5)
+    assert ncsym.ORACLE_DEGREE_LIMIT == 8 and 5**8 <= ncsym.ORACLE_WORD_LIMIT < 6**8
+    assert type(expansion) is array and expansion.typecode == "q"
+    assert len(expansion) == 5**8
+    assert max(expansion) == math.factorial(8) == expansion[0] == expansion[-1]
 
 
 def test_oracle_degree_guard():

@@ -19,7 +19,7 @@ from ncschur.combinat import (
     syt_count,
     tableau,
 )
-from ncschur.ncsym import NCSymExpr, basis_order, delta_action, to_m
+from ncschur.ncsym import NCSymExpr, basis_order, delta_action, from_m, sp_sign, to_m
 from ncschur.schur import (
     family_rank,
     h_to_schur,
@@ -92,6 +92,17 @@ def test_skew_schur_nc_size_check():
 def test_transposed_schur_retags_terms():
     pi = sp("13/2")
     assert transposed_schur(pi) == NCSymExpr("e", standard_schur(pi).terms)
+
+
+def test_transposed_schur_is_omega_of_schur_in_the_p_basis():
+    # omega swaps h with e and fixes p_key up to sp_sign(key); in the p-basis,
+    # reached through to_m (which weighs h by |mu| and e by mu) and from_m,
+    # that sign is all that may differ, so this does not restate a retagging
+    for n in range(1, 6):
+        for pi in set_partitions(n):
+            s_p = from_m(to_m(standard_schur(pi)), "p").terms
+            st_p = from_m(to_m(transposed_schur(pi)), "p").terms
+            assert st_p == {key: sp_sign(key) * c for key, c in s_p.items()}, pi
 
 
 def test_transition_matrix_triangular_with_unit_determinant():

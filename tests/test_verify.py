@@ -3,6 +3,7 @@ counterexample when the library breaks the identity. The library calls are
 monkeypatched to return wrong answers; the ranges are small."""
 
 import re
+from array import array
 
 import pytest
 
@@ -60,7 +61,8 @@ def test_prod_catches_a_wrong_schur_shape_list(monkeypatch):
     # the word-level slash check between the two product-rule loops runs at a
     # fixed size; stub its expanders so that this test stays fast
     for basis in ("h", "e", "p"):
-        monkeypatch.setitem(ncsym._EXPANDERS, basis, lambda pi, k: [0] * k ** sp_size(pi))
+        monkeypatch.setitem(ncsym._EXPANDERS, basis,
+                            lambda pi, k: array("q", [0]) * k ** sp_size(pi))
     report = suite_prod(max_size=2)
     assert not report.ok
     assert report.counterexample == "s: pi=1 sig=1"
@@ -75,15 +77,15 @@ def test_iota_catches_a_wrong_ribbon_sign(monkeypatch):
 
 
 def test_prod_catches_factor_words_that_collide_when_concatenated(monkeypatch):
-    # an expansion is a list of coefficients indexed by base-k words, so at
+    # an expansion is an array of coefficients indexed by base-k words, so at
     # k = 2 a factor of degree 1 has 2 entries; with 3 entries the outer
     # product of two such factors has 9, and a "product" of 9 entries
     # equals it, so only the length guard catches the wrong words
     def wrong_length(pi, k):
-        return [1] * 3 ** sp_size(pi)
+        return array("q", [1]) * 3 ** sp_size(pi)
 
     factor, product = wrong_length(((1,),), 2), wrong_length(((1,), (2,)), 2)
-    assert [c1 * c2 for c1 in factor for c2 in factor] == product
+    assert array("q", [c1 * c2 for c1 in factor for c2 in factor]) == product
     monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_length)
     report = suite_prod(max_size=2)
     assert not report.ok
@@ -102,7 +104,7 @@ def test_prod_checks_the_slash_product_of_every_pair(monkeypatch):
 
                     def wrong_on_tau(p, k, tau=tau):
                         words = orig(p, k)
-                        return [c + 1 for c in words] if p == tau else words
+                        return array("q", [c + 1 for c in words]) if p == tau else words
 
                     monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_on_tau)
                     report = suite_prod(max_size=4)
@@ -125,7 +127,7 @@ def test_prod_compares_tau_at_every_split(monkeypatch):
 
             def wrong_factor(p, k, f=f, n=n):
                 words = orig(p, k)
-                return [c + 1 for c in words] if (p, k) == (f, n) else words
+                return array("q", [c + 1 for c in words]) if (p, k) == (f, n) else words
 
             monkeypatch.setitem(ncsym._EXPANDERS, "h", wrong_factor)
             first = next((pi, sig) for tau in set_partitions(n) for pi, sig in pairs
@@ -150,7 +152,7 @@ def test_prod_compares_every_entry_of_the_slash_product(monkeypatch, tau, a, exp
         def wrong_once(p, k, index=index):
             words = orig(p, k)
             if p == tau:
-                words = list(words)
+                words = array("q", words)
                 words[index] += 1
             return words
 
