@@ -169,12 +169,19 @@ class _CodedLattice:
     def down_set(self, masks, scale: int = 1):
         """The codes of the tau <= sigma, sigma given by the bitmasks of its
         blocks (see _masks), and scale times the product of the weights of
-        tau inside the blocks of sigma."""
-        codes, weights = [0], [scale]
-        for mask in masks:
+        tau inside the blocks of sigma. The sumset starts from the first
+        block's lists (the lattice's own: read only); a one-code block is a shift."""
+        first, *rest = masks or [0]
+        codes, weights = self.blocks[first] or self.block(first)
+        weights = [scale * w for w in weights] if scale != 1 else weights
+        for mask in rest:
             block, block_weights = self.blocks[mask] or self.block(mask)
-            codes = [c + d for c in codes for d in block]
-            weights = [v * w for v in weights for w in block_weights]
+            if len(block) == 1:
+                codes = [c + block[0] for c in codes]
+            else:
+                codes = [c + d for c in codes for d in block]
+            if block_weights != [1]:
+                weights = [v * w for v in weights for w in block_weights]
         return codes, weights
 
     def down_sets(self):
@@ -473,38 +480,52 @@ def _spread(vals: array, letters, target, k: int) -> array:
     return vals
 
 
+def _outer(left: array, right: array) -> array:
+    """Entry i * len(right) + j is left[i] * right[j]: the longer factor is
+    scaled once per distinct entry of the shorter (1 reuses it, 0 repeats
+    _ZERO) and copied in as rows, or as strided columns if right is shorter."""
+    width = len(right)
+    short, long_ = (left, right) if len(left) <= width else (right, left)
+    scaled = {c: long_ if c == 1 else _ZERO * len(long_) if c == 0
+              else array("q", map(c.__mul__, long_)) for c in set(short)}
+    if short is left:
+        product = array("q")
+        for c in left:
+            product += scaled[c]
+        return product
+    product = _ZERO * (len(left) * width)
+    for j, c in enumerate(right):
+        product[j::width] = scaled[c]
+    return product
+
+
 def _words(n: int, k: int, pools) -> array:
     """The word expansion of degree n over x_1..x_k as an array("q") of k^n
     coefficients: the word w_1...w_n sits at the base-k integer sum over x
     of (w_x - 1) k^(n - x). A pool is a tuple of letters (positions, in
     increasing order) and an array("q") of weights over their digits
-    (letter - 1), indexed the same way. The pools multiply over their joint
-    letters, so each step has k^(letters covered) entries, and the product
-    spreads to 1..n once at the end. A pool whose least letter follows
-    every covered letter (the first pool among them) multiplies as an outer
-    product: its digits come after the covered ones, so the product over
-    the two sets of letters is one copy of the pool per entry of the
-    product so far, scaled by that entry and made once per distinct entry
-    (a 1 reuses the pool and a 0 multiplies nothing). Any other pool and
-    the product so far both spread to the joint letters and multiply entry
-    by entry. A pool whose weights are all 1 is skipped, and so with no
-    other pool every word has coefficient 1."""
-    out, covered = array("q", [1]), ()
+    (letter - 1), indexed the same way. The pools multiply per interval
+    component: a pool whose least letter follows every covered letter
+    starts one; any other joins the last one (then each earlier one it
+    reaches back to), the two spread to their joint letters and multiplied
+    entry by entry over k^(its letters) entries. The components' letters
+    follow each other, so their outer product (_outer), spread to 1..n once
+    at the end, is the expansion. A pool whose weights are all 1 is
+    skipped, and so with no other pool every word has coefficient 1."""
+    parts = []  # (letters, weights) per component, in letter order
     for letters, vals in pools:
         if vals.count(1) == len(vals):
             continue
-        if not covered or covered[-1] < min(letters):
-            rows = {c: vals if c == 1 else _ZERO * len(vals) if c == 0
-                    else array("q", map(c.__mul__, vals)) for c in set(out)}
-            product = array("q")
-            for c in out:
-                product += rows[c]
-            out, covered = product, (*covered, *letters)
-        else:
+        while parts and parts[-1][0][-1] >= letters[0]:
+            covered, out = parts.pop()
             joint = tuple(sorted({*covered, *letters}))
-            out = array("q", map(operator.mul, _spread(out, covered, joint, k),
-                                 _spread(vals, letters, joint, k)))
-            covered = joint
+            vals = array("q", list(map(operator.mul, _spread(out, covered, joint, k),
+                                       _spread(vals, letters, joint, k))))
+            letters = joint
+        parts.append((letters, vals))
+    out, covered = array("q", [1]), ()
+    for letters, vals in parts:
+        out, covered = _outer(out, vals), (*covered, *letters)
     return _spread(out, covered, range(1, n + 1), k)
 
 

@@ -72,16 +72,20 @@ def skew_shapes(max_size: int, inner_cap: int = 3):
 
 
 def _is_outer_product(words: array, left: array, right: array) -> bool:
-    """Whether words[i * len(right) + j] == left[i] * right[j] for all i, j,
-    with len(words) == len(left) * len(right), on array("q") vectors (an
-    array never equals a list). Along the shorter factor the other one is
-    scaled once per distinct value (by 1: itself): row i of words against
+    """Whether len(words) == len(left) * len(right) and words[i * len(right) + j]
+    == left[i] * right[j] for all i, j, on array("q") vectors (an array never
+    equals a list). Along the shorter factor the other one is scaled once per
+    distinct value (by 1: itself; by 0: a zero repeat): row i of words against
     left[i] * right, or column j (stride len(right)) against right[j] * left."""
-    width = len(right)
+    zero, width = array("q", [0]), len(right)
+    if len(words) != len(left) * width:
+        return False
     if len(left) <= width:
-        rows = {c1: right if c1 == 1 else array("q", map(c1.__mul__, right)) for c1 in set(left)}
+        rows = {c1: right if c1 == 1 else zero * width if c1 == 0
+                else array("q", map(c1.__mul__, right)) for c1 in set(left)}
         return all(words[i * width:(i + 1) * width] == rows[c1] for i, c1 in enumerate(left))
-    columns = {c2: left if c2 == 1 else array("q", map(c2.__mul__, left)) for c2 in set(right)}
+    columns = {c2: left if c2 == 1 else zero * len(left) if c2 == 0
+               else array("q", map(c2.__mul__, left)) for c2 in set(right)}
     return all(words[j::width] == columns[c2] for j, c2 in enumerate(right))
 
 

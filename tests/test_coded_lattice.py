@@ -3,7 +3,7 @@ against oracles that share no code with it: down-sets from
 combinat.refines, Moebius values from the defining recursion over
 refines, and codes decoded here digit by digit."""
 
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -73,6 +73,29 @@ def test_size_weights_are_the_moebius_function_from_the_bottom(mobius):
             codes, weights = lattice.down_set(_masks(sigma))
             got = {decode(c, n): w for c, w in zip(codes, weights)}
             assert got == {tau: mobius[n][bottom, tau] for tau in got}, sigma
+
+
+@pytest.mark.parametrize("scale", [1, 5])
+def test_weights_are_the_products_over_the_blocks(scale):
+    # weights where a one-element block weighs by_count[1] * by_size[1] = -6,
+    # not 1: tau <= sigma weighs scale times, per block B of sigma,
+    # by_count[number of blocks of tau in B] times by_size[size] of each
+    by_size, by_count = [1, 2, 3, 5, 7, 11, 13], [1, -3, 4, 6, -8, 9, 10]
+    for n in range(MAX_DEGREE + 1):
+        lattice = _CodedLattice(n, by_size, by_count)
+        for sigma in set_partitions(n):
+            expected = {}
+            for tau in set_partitions(n):
+                if refines(tau, sigma):
+                    w = scale
+                    for b in sigma:
+                        inside = [c for c in tau if set(c) <= set(b)]
+                        w *= by_count[len(inside)] * prod(by_size[len(c)] for c in inside)
+                    expected[tau] = w
+            for _ in range(2):  # a second call sees the same lists
+                codes, weights = lattice.down_set(_masks(sigma), scale)
+                got = {decode(c, n) if n else (): w for c, w in zip(codes, weights)}
+                assert len(got) == len(codes) and got == expected, (sigma, scale)
 
 
 def test_the_walk_lists_every_down_set():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from array import array
 from fractions import Fraction
 
@@ -377,6 +378,88 @@ def test_words_outer_product_route_matches_the_joint_letter_route(n, ks):
             m_pools = [(range(1, n + 1), m_vals), ((n,), array("q", [d + 1 for d in range(k)]))]
             assert ncsym._words(n, k, m_pools) == expected, (pi, k)
             assert ncsym._words(n, k, m_pools[::-1]) == expected, (pi, k)
+
+
+def reference_words(n: int, k: int, pools) -> array:
+    """The reference for ncsym._words (its previous form): every pool
+    multiplies into the product over all letters covered so far, as one
+    scaled copy of the pool per entry of that product when its least letter
+    follows every covered letter, else both spread to their joint letters
+    and multiplied entry by entry."""
+    out, covered = array("q", [1]), ()
+    for letters, vals in pools:
+        if vals.count(1) == len(vals):
+            continue
+        if not covered or covered[-1] < min(letters):
+            rows = {c: vals if c == 1 else array("q", [0]) * len(vals) if c == 0
+                    else array("q", map(c.__mul__, vals)) for c in set(out)}
+            product = array("q")
+            for c in out:
+                product += rows[c]
+            out, covered = product, (*covered, *letters)
+        else:
+            joint = tuple(sorted({*covered, *letters}))
+            out = array("q", map(operator.mul, ncsym._spread(out, covered, joint, k),
+                                 ncsym._spread(vals, letters, joint, k)))
+            covered = joint
+    return ncsym._spread(out, covered, range(1, n + 1), k)
+
+
+@pytest.mark.parametrize("n, ks", [(n, range(1, 5)) for n in range(1, 7)] + [(6, [6])])
+def test_words_match_the_reference_route(n, ks):
+    weights = (ncsym._h_weights, ncsym._e_weights, ncsym._p_weights)
+    for k in ks:
+        for pi in set_partitions(n):
+            for weight in weights:
+                pools = [(b, weight(len(b), k)) for b in pi]
+                assert ncsym._words(n, k, pools) == reference_words(n, k, pools), (
+                    pi, k, weight.__name__)
+
+
+@pytest.mark.parametrize("text", ["12/35/46", "14/23/56", "1/24/35/6", "12/34/56",
+                                  "13/2/46/5", "1/23/4/57/68", "12/3/46/5/78"])
+def test_words_multiply_an_interleaved_later_component_on_its_own_letters(text):
+    # 12/35/46: the (4,6) pool joins the component on 3..6 only, yet the
+    # product equals the reference route over every covered letter. In
+    # other orders a pool can reach back over several components: for
+    # 23, 56, 14 the last pool joins 56 and then 23
+    pi, k = parse_set_partition(text), 3
+    n = sp_size(pi)
+    for weight in (ncsym._h_weights, ncsym._e_weights, ncsym._p_weights):
+        pools = [(b, weight(len(b), k)) for b in pi]
+        expected = reference_words(n, k, pools)
+        for order in itertools.permutations(pools):
+            assert ncsym._words(n, k, order) == expected, (text, order, weight.__name__)
+
+
+def test_joint_steps_stay_inside_their_component(monkeypatch):
+    # for 12/35/46 at k = 6 the (4,6) pool and the (3,5) one spread to 3..6
+    # (6^4 entries) and no further; only the last spread reaches 1..6
+    spread, targets = ncsym._spread, []
+
+    def spy(vals, letters, target, k):
+        targets.append(tuple(target))
+        return spread(vals, letters, target, k)
+
+    monkeypatch.setattr(ncsym, "_spread", spy)
+    ncsym._EXPANDERS["h"](parse_set_partition("12/35/46"), 6)
+    assert targets == [(3, 4, 5, 6), (3, 4, 5, 6), (1, 2, 3, 4, 5, 6)]
+
+
+def test_outer_product_in_both_orientations():
+    # the shorter factor is scaled row by row (left) or column by column
+    # (right); factors with 0, 1 and repeated entries above 1
+    short, long_ = array("q", [0, 1, 3, 3]), array("q", [2, 0, 1, 5, 2, 2, 0, 1, 7])
+    for left, right in ((short, long_), (long_, short), (short, short), (long_, long_[:1])):
+        expected = array("q", [a * b for a in left for b in right])
+        assert ncsym._outer(left, right) == expected, (left, right)
+    # the same through _words: a pool on 1..a, then one on the letters after
+    for k, a, n in ((3, 2, 3), (3, 1, 3), (2, 2, 4)):
+        first = array("q", [(0, 1, 2, 2, 3)[i % 5] for i in range(k**a)])
+        second = array("q", [(2, 0, 1, 2)[i % 4] for i in range(k ** (n - a))])
+        pools = [(tuple(range(1, a + 1)), first), (tuple(range(a + 1, n + 1)), second)]
+        expected = array("q", [c1 * c2 for c1 in first for c2 in second])
+        assert ncsym._words(n, k, pools) == expected == reference_words(n, k, pools), (k, a)
 
 
 def test_largest_coefficient_at_the_oracle_limits_fits_the_word_vector():

@@ -17,6 +17,7 @@ from ncschur.combinat import (
     syt_count,
 )
 from ncschur.verify import (
+    _is_outer_product,
     suite_iota,
     suite_lgv,
     suite_prod,
@@ -160,6 +161,49 @@ def test_prod_compares_every_entry_of_the_slash_product(monkeypatch, tau, a, exp
         report = suite_prod(max_size=4)
         assert not report.ok, index
         assert report.counterexample == expected, index
+
+
+def outer(left, right):
+    return array("q", [c1 * c2 for c1 in left for c2 in right])
+
+
+def test_outer_product_check_enforces_its_length():
+    # rows route (len(left) <= len(right)): one extra trailing entry would
+    # pass every row compare, so the length is checked first
+    left, right = array("q", [1, 2]), array("q", [3, 4, 5])
+    words = outer(left, right)
+    assert _is_outer_product(words, left, right)
+    assert not _is_outer_product(words + array("q", [99]), left, right)
+    assert not _is_outer_product(words[:-1], left, right)
+    assert not _is_outer_product(words + array("q", [99]), right, left)
+    assert not _is_outer_product(words, left, right + array("q", [0]))
+
+
+@pytest.mark.parametrize("left, right", [
+    ([0, 1, 2, 2], [3, 0, 1, 2, 2, 5, 1]),  # rows: len(left) <= len(right)
+    ([3, 0, 1, 2, 2, 5, 1], [0, 1, 2, 2]),  # columns: len(left) > len(right)
+])
+def test_outer_product_check_rejects_every_single_wrong_entry(left, right):
+    left, right = array("q", left), array("q", right)
+    words = outer(left, right)
+    assert _is_outer_product(words, left, right)
+    for index in range(len(words)):
+        wrong = array("q", words)
+        wrong[index] += 1
+        assert not _is_outer_product(wrong, left, right), index
+
+
+@pytest.mark.parametrize("left, right", [
+    ([0, 1, 3], [2, 0, 5, 1, 4]),  # rows
+    ([2, 0, 5, 1, 4], [0, 1, 3]),  # columns
+])
+def test_outer_product_check_rejects_zero_entries_scaled_wrongly(left, right):
+    # words made as if a factor's 0 entries were 1s: every row (or column)
+    # of a 0 entry then copies the other factor instead of being 0
+    left, right = array("q", left), array("q", right)
+    as_one = outer([c or 1 for c in left], right)
+    assert not _is_outer_product(as_one, left, right)
+    assert not _is_outer_product(outer(left, [c or 1 for c in right]), left, right)
 
 
 def test_specht_catches_a_rank_that_is_neither_0_nor_the_standard_count(monkeypatch):
