@@ -36,6 +36,33 @@ def add_up(pairs) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+def back_substitute(rest: dict, order, column, fmt) -> dict:
+    """Solve a unitriangular system: column(i) maps row indices to entries,
+    with 1 at row i and nothing at an index before i in order. Walking
+    order, each index's remaining coefficient is popped from rest as its
+    solution, and that multiple of its column is taken away. Returns the
+    nonzero solutions in walk order; a column off the pattern raises
+    ArithmeticError naming its row and column through fmt."""
+    out, passed = {}, set()
+    for idx in order:
+        passed.add(idx)
+        c = rest.pop(idx, 0)
+        if not c:
+            continue
+        col = column(idx)
+        if col.get(idx, 0) != 1:
+            raise ArithmeticError(f"matrix not unitriangular: row {fmt(idx)}, column "
+                                  f"{fmt(idx)} holds {col.get(idx, 0)}, not 1")
+        out[idx] = c
+        for row, a in col.items():
+            if row not in passed:
+                rest[row] = rest.get(row, 0) - c * a
+            elif row != idx:
+                raise ArithmeticError(f"matrix not unitriangular: row {fmt(row)}, column "
+                                      f"{fmt(idx)} holds {a}, not 0")
+    return out
+
+
 def _field(obj, name: str, kind, where: str):
     """obj[name]; obj must be a JSON object with a field of type(s) kind.
     A JSON boolean is never of the right type, although bool is an int."""

@@ -1,10 +1,10 @@
-"""Exact dense linear algebra over the rationals. The library uses
-``rank`` (ranks of Specht families) and ``determinant`` (of the normalized
-Schur transition matrix). ``inverse`` and ``mat_vec`` are the dense oracle
-that the tests check the triangular basis changes (``from_m``,
-``h_to_schur``, ``m_to_s``) against; ``solve`` has no caller and stays only
-because ``perfbench/tracer.py`` wraps it by name. Matrices are lists of
-lists of Fraction; nothing here mutates its arguments.
+"""Exact dense linear algebra over the rationals. No library path runs it:
+only ``schur.family_rank`` (``rank``; called by tests alone) and the test
+oracles call it. ``inverse`` and ``mat_vec`` are the dense oracle for the
+triangular basis changes (``from_m``, ``h_to_schur``, ``m_to_s``);
+``determinant`` and ``solve`` have no caller. The module stays only because
+``perfbench/tracer.py`` wraps its functions by name, until the tracer change
+of ROADMAP item 1. Matrices are lists of lists of Fraction, never mutated.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from . import ratlin
 from .combinat import (
     Composition,
     Partition,
@@ -47,7 +46,7 @@ from .combinat import (
     skew,
     ssyt,
 )
-from .expr_format import add_up
+from .expr_format import add_up, back_substitute
 from .ncpoly import NCPoly
 from .ncsym import (
     NCSymExpr,
@@ -178,35 +177,17 @@ def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
     h-terms on earlier indices (schur_transition is upper triangular). Over
     the basis h_sigma / lambda(sigma)! its column is an integer vector with
     a leading 1, so each degree is scaled once by the lcm of its
-    denominators and solved in integers: walking the degree from its last
-    index down, the remaining coefficient of h_pi / lambda(pi)! is that of
-    s_pi, and that multiple of the column is taken away."""
+    denominators and solved in integers by back_substitute, walking the
+    degree from its last index down: the remaining coefficient of
+    h_pi / lambda(pi)! is that of s_pi."""
     if expr.basis != "h":
         raise ValueError("h_to_schur needs an h-basis expression")
     column = _schur_columns(_normalized)
     out: dict[SetPartition, Fraction] = {}
     for n, ints, den in sorted(_integer_degrees(expr.terms), key=lambda d: d[0]):
         rest = {pi: a * parts_factorial(shape_of(pi)) for pi, a in ints.items()}
-        passed: set[SetPartition] = set()
-        for pi in reversed(basis_order(n)):
-            passed.add(pi)
-            b = rest.pop(pi, 0)
-            if not b:
-                continue
-            col = column(pi)
-            if col.get(pi, 0) != 1:
-                raise ArithmeticError(f"unexpected leading coefficient at degree {n}, "
-                                      f"index {format_set_partition(pi)}")
-            out[pi] = Fraction(b, den)
-            for sig, a in col.items():
-                if sig == pi:
-                    continue
-                if sig in passed:
-                    raise ArithmeticError(
-                        f"Schur transition matrix not triangular at degree {n}: row "
-                        f"{format_set_partition(sig)}, column {format_set_partition(pi)}"
-                    )
-                rest[sig] = rest.get(sig, 0) - b * a
+        solved = back_substitute(rest, reversed(basis_order(n)), column, format_set_partition)
+        out.update((pi, Fraction(b, den)) for pi, b in solved.items())
     return NCSymExpr._trusted("s", out)
 
 
@@ -273,7 +254,10 @@ def permuted_basis(delta: Perm, n: int) -> list[NCSymExpr]:
 
 
 def family_rank(family: list[NCSymExpr], n: int) -> int:
-    """Rank of a family of degree-n expressions over their h-coordinates."""
+    """Rank of a family of degree-n expressions over their h-coordinates, by
+    dense Fraction elimination (only tests call it)."""
+    from . import ratlin
+
     order = basis_order(n)
     pos = {pi: i for i, pi in enumerate(order)}
     rows = []

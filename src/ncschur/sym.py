@@ -30,7 +30,7 @@ from .combinat import (
     sort_to_partition,
     transpose,
 )
-from .expr_format import LinearCombination, add_up
+from .expr_format import LinearCombination, add_up, back_substitute
 from .ncpoly import CPoly
 
 
@@ -158,28 +158,15 @@ def m_to_s(expr: SymExpr) -> SymExpr:
     back-substitution. s_lam is m_lam plus monomials on partitions that lam
     strictly dominates (the Kostka matrix is unitriangular), and
     partitions(n) comes in lexicographically decreasing order, which
-    extends dominance; so, walking it, the remaining coefficient c of m_lam
-    is the coefficient of s_lam, and c s_lam is taken away."""
+    extends dominance; so back_substitute walks it, and the remaining
+    coefficient of m_lam is the coefficient of s_lam."""
     if expr.basis != "m":
         raise ValueError("m_to_s needs a monomial-basis expression")
     rest = dict(expr.terms)
     out: dict[Partition, Fraction] = {}
     for n in sorted({sum(lam) for lam in rest}):
-        for lam in partitions(n):
-            c = rest.pop(lam, 0)
-            if not c:
-                continue
-            row = _index_to_m("s", lam)
-            name = format_partition(lam)
-            if row.get(lam) != 1:
-                raise ArithmeticError(f"Kostka number K[{name}, {name}] is not 1")
-            out[lam] = c
-            for gam, k in row.items():
-                if gam > lam:  # a row already passed
-                    raise ArithmeticError(f"Kostka matrix not triangular at degree {n}: "
-                                          f"K[{name}, {format_partition(gam)}] is not 0")
-                if gam != lam:
-                    rest[gam] = rest.get(gam, 0) - c * k
+        out.update(back_substitute(rest, partitions(n), lambda lam: _index_to_m("s", lam),
+                                   format_partition))
     return SymExpr("s", out)
 
 

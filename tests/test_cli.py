@@ -186,6 +186,17 @@ def test_lr(capsys):
     assert out.strip() == "2.1\t1"
 
 
+def test_lr_reports_a_bad_kostka_row_with_exit_1(capsys, monkeypatch):
+    import ncschur.sym as sym
+
+    good = sym._index_to_m
+    monkeypatch.setattr(sym, "_index_to_m", lambda basis, lam: {
+        g: 2 * k for g, k in good(basis, lam).items()} if basis == "s" else good(basis, lam))
+    code, out, err = run(capsys, "lr", "--shape", "2.2/1")
+    assert (code, out) == (1, "")
+    assert err.strip() == "matrix not unitriangular: row 2.1, column 2.1 holds 2, not 1"
+
+
 def test_kostka(capsys):
     code, out, _ = run(capsys, "kostka", "--shape", "2.1", "--content", "1.1.1")
     assert code == 0

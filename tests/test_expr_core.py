@@ -4,13 +4,14 @@ boundary."""
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from ncschur.cli import main
 from ncschur.combinat import SkewShape, parse_set_partition, tableau
-from ncschur.expr_format import add_up
+from ncschur.expr_format import add_up, back_substitute
 from ncschur.ncsym import NCSymExpr, delta_action, rho
 from ncschur.nsym import NSymExpr, chi, iota
 from ncschur.schur import rosas_sagan, source_skew_schur, tabloid_schur
@@ -157,6 +158,44 @@ def test_add_up_leaves_keys_as_they_come():
     pairs = [(((2,), (1,)), Fraction(1)), (((1,), (2,)), Fraction(2))]
     assert add_up(pairs) == dict(pairs)
     assert NCSymExpr("m", dict(pairs)).terms == {((1,), (2,)): Fraction(3)}
+
+
+def unitriangular_columns(rng, order):
+    """Integer columns, each 1 at its own index and random entries (some 0)
+    at the indices that come after it in order."""
+    return {i: {i: 1, **{j: rng.randint(-3, 3) for j in order[k + 1:]}}
+            for k, i in enumerate(order)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+# h_to_schur walks its basis order backwards, m_to_s walks partitions(n) forwards
+@pytest.mark.parametrize("walk", [list, lambda r: list(reversed(r))],
+                         ids=["forwards", "backwards"])
+def test_back_substitute_solves_a_unitriangular_system(seed, walk):
+    rng = random.Random(seed)
+    order = walk(range(8))
+    columns = unitriangular_columns(rng, order)
+    x = {i: rng.choice([0, rng.randint(-5, 5)]) for i in order}
+    rhs = add_up((j, c * a) for i, c in x.items() for j, a in columns[i].items())
+    rest = dict(rhs)
+    solved = back_substitute(rest, order, columns.__getitem__, str)
+    assert list(solved.items()) == [(i, x[i]) for i in order if x[i]]
+    assert add_up((j, c * a) for i, c in solved.items() for j, a in columns[i].items()) == rhs
+    assert rest == {}
+
+
+def test_back_substitute_rejects_a_leading_coefficient_that_is_not_1():
+    columns = {0: {0: 2, 1: 1}, 1: {1: 1}}
+    with pytest.raises(ArithmeticError, match=r"^matrix not unitriangular: row a, column a "
+                       r"holds 2, not 1$"):
+        back_substitute({0: 1}, [0, 1], columns.__getitem__, "ab".__getitem__)
+
+
+def test_back_substitute_rejects_an_entry_at_an_index_already_passed():
+    columns = {0: {0: 1}, 1: {1: 1, 0: 3}}
+    with pytest.raises(ArithmeticError, match=r"^matrix not unitriangular: row a, column b "
+                       r"holds 3, not 0$"):
+        back_substitute({1: 1}, [0, 1], columns.__getitem__, "ab".__getitem__)
 
 
 @pytest.mark.parametrize("cls", [SymExpr, NCSymExpr, NSymExpr])

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -37,6 +39,16 @@ def test_convert_loads_only_the_modules_it_runs():
     assert "ncschur.ncsym" in loaded
     for name in ("schur", "ratlin", "nsym", "lgv", "verify"):
         assert f"ncschur.{name}" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--basis", "m", "--index", "13/2", "--to", "s"],
+    ["verify", "ncschur-triangular"],
+])
+def test_the_schur_basis_change_and_the_triangular_suite_run_no_dense_elimination(argv):
+    loaded = fresh(f"import ncschur.cli as cli; cli.main({argv!r}); " + LOADED)
+    assert "ncschur.schur" in loaded
+    assert "ncschur.ratlin" not in loaded
 
 
 def test_every_public_name_is_the_object_of_its_defining_module():

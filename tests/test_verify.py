@@ -20,6 +20,7 @@ from ncschur.verify import (
     _is_outer_product,
     suite_iota,
     suite_lgv,
+    suite_ncschur_triangular,
     suite_prod,
     suite_rslr,
     suite_rsrefines,
@@ -247,3 +248,35 @@ def test_transpose_catches_a_negated_transposed_schur(monkeypatch):
     report = suite_transpose(max_n=2)
     assert not report.ok
     assert report.counterexample == "1"
+
+
+def test_ncschur_triangular_catches_a_diagonal_entry_that_is_not_1(monkeypatch):
+    # degree 1's matrix [[1]] becomes [[2]], of determinant 2
+    good = schur.normalized_schur_transition
+
+    def doubled(n):
+        mat = good(n)
+        if n == 1:
+            mat[0][0] *= 2
+        return mat
+
+    monkeypatch.setattr(schur, "normalized_schur_transition", doubled)
+    report = suite_ncschur_triangular(max_n=2)
+    assert not report.ok
+    assert report.counterexample == "n=1: diagonal entry at 1"
+
+
+def test_ncschur_triangular_catches_an_entry_below_the_diagonal(monkeypatch):
+    # degree 2 is the first with an entry below the diagonal: row 1/2, column 12
+    good = schur.normalized_schur_transition
+
+    def filled(n):
+        mat = good(n)
+        if n == 2:
+            mat[1][0] = 1
+        return mat
+
+    monkeypatch.setattr(schur, "normalized_schur_transition", filled)
+    report = suite_ncschur_triangular(max_n=2)
+    assert not report.ok
+    assert report.counterexample == "n=2: entry below diagonal at column 12"
