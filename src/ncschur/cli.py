@@ -135,12 +135,7 @@ def cmd_rs(args) -> int:
 def cmd_lr(args) -> int:
     from . import schur
 
-    try:
-        pairs = schur.rs_lr_expand(parse_skew(args.shape))
-    except ArithmeticError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    for nu, c in pairs:
+    for nu, c in schur.rs_lr_expand(parse_skew(args.shape)):
         print(f"{format_partition(nu)}\t{c}")
     return 0
 

@@ -536,6 +536,31 @@ def kostka(shape: SkewShape, nu: Partition) -> int:
     return count(shape.outer, len(nu))
 
 
+def kostka_row(shape: SkewShape) -> dict[Partition, int]:
+    """Every nonzero Kostka number K(shape, nu), nu |- shape.size, in
+    partitions(n) order, from one pass of kostka's branching rule. The
+    counts are kept for the pass by outer shape and the parts of nu still
+    to place, so the nu that share a prefix share its count."""
+    inner = tuple(shape.inner_at(i) for i in range(shape.rows))
+    memo: dict = {}
+    return {nu: k for nu in partitions(shape.size)
+            if (k := _branch(shape.outer, nu, inner, memo))}
+
+
+def _branch(lam: Partition, nu: Partition, inner: Partition, memo: dict) -> int:
+    # a module-level function, not a closure: see _leibniz
+    if not nu:
+        return 1
+    if (lam, nu) not in memo:
+        # kappa_i runs between lam_(i+1) and lam_i (a horizontal strip), above inner_i
+        rows = [range(max(low, nxt), top + 1)
+                for top, nxt, low in zip(lam, lam[1:] + (0,), inner)]
+        size = sum(lam) - nu[-1]
+        memo[lam, nu] = sum(_branch(kappa, nu[:-1], inner, memo)
+                            for kappa in itertools.product(*rows) if sum(kappa) == size)
+    return memo[lam, nu]
+
+
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of straight shape lam, by the
     hook-length formula: n! over the product of the hook lengths."""

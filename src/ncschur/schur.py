@@ -30,7 +30,7 @@ from .combinat import (
     format_set_partition,
     interval_partition,
     jacobi_trudi_terms,
-    kostka,
+    kostka_row,
     near_concat,
     parts_factorial,
     partitions,
@@ -356,10 +356,10 @@ def specht_rank(lam: Partition) -> int:
 def rosas_sagan(shape: SkewShape) -> NCSymExpr:
     """The Rosas-Sagan skew Schur function in the m-basis: the sum over
     shapes nu of (parts factorial of nu) times the Kostka number, spread
-    over all set partitions of that shape."""
-    n = shape.size
-    coeff = {nu: Fraction(parts_factorial(nu) * kostka(shape, nu)) for nu in partitions(n)}
-    terms = {pi: c for pi in set_partitions(n) if (c := coeff[shape_of(pi)])}
+    over all set partitions of that shape. The Kostka numbers come from one
+    branching-rule pass over the shape (combinat.kostka_row)."""
+    coeff = {nu: Fraction(parts_factorial(nu) * k) for nu, k in kostka_row(shape).items()}
+    terms = {pi: c for pi in set_partitions(shape.size) if (c := coeff.get(shape_of(pi)))}
     return NCSymExpr._trusted("m", terms)
 
 
@@ -387,9 +387,9 @@ def rs_refinement_check(shape: SkewShape) -> bool:
 def rs_lr_expand(shape: SkewShape):
     """The Littlewood-Richardson expansion of a Rosas-Sagan skew function
     into straight Rosas-Sagan functions: the list of (shape, coefficient)
-    pairs. ``ncschur verify rslr`` checks that they sum back."""
-    # partitions(n) order, which for one size is lexicographically decreasing
-    return sorted(lr_coefficients(shape).items(), reverse=True)
+    pairs, in partitions(n) order. ``ncschur verify rslr`` checks that they
+    sum back."""
+    return list(lr_coefficients(shape).items())
 
 
 def rs_coproduct_check(lam: Partition, i: int) -> bool:
@@ -413,11 +413,13 @@ def skew_kostka_check(shape: SkewShape, pairs) -> bool:
     """Whether every skew Kostka number splits as the weighted sum of
     straight Kostka numbers over the (shape, coefficient) pairs of the
     Littlewood-Richardson expansion, as rs_lr_expand lists them. The skew
-    side counts fillings by the branching rule; the straight rows are the
-    m-expansions of the classical Schur functions s_nu."""
+    side is the shape's row of the branching rule (combinat.kostka_row);
+    the straight rows are the m-expansions of the classical Schur
+    functions s_nu, whose entries combinat.kostka counts one at a time."""
+    skew_row = kostka_row(shape)
     rows = [(c, SymExpr.single("s", nu).to_m().terms) for nu, c in pairs]
     return all(
-        kostka(shape, gam) == sum(c * row.get(gam, 0) for c, row in rows)
+        skew_row.get(gam, 0) == sum(c * row.get(gam, 0) for c, row in rows)
         for gam in partitions(shape.size)
     )
 

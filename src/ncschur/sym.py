@@ -6,8 +6,12 @@ Basis changes route through the monomial basis, where every structure
 constant is a count: the coefficient of m_lam in m_mu m_nu is the number of
 ways to split the exponent vector lam into rearrangements of mu and nu, and
 h/e/p_lam is a product of monomial functions. Schur functions expand by
-Kostka numbers. No result is computed with polynomial arithmetic; expand
-is the bridge to that oracle.
+Kostka numbers. Littlewood-Richardson coefficients count the fillings of
+the skew shape whose reverse reading word is a lattice word (the
+Littlewood-Richardson rule); skew_schur(shape, "s"), the Jacobi-Trudi
+determinant rewritten m -> s, is the independent route the tests compare
+them with. No result is computed with polynomial arithmetic; expand is the
+bridge to that oracle.
 """
 
 from __future__ import annotations
@@ -187,16 +191,45 @@ def skew_schur(shape: SkewShape, basis: str = "h") -> SymExpr:
 
 def lr_coefficients(shape: SkewShape) -> dict[Partition, int]:
     """The Littlewood-Richardson coefficients of a skew shape outer/inner:
-    nu -> c^outer_{inner,nu}, read off the Schur expansion of its skew
-    Schur function, for the nu where it is not zero."""
-    out = {}
-    for nu, c in skew_schur(shape, "s").terms.items():
-        if c.denominator != 1 or c < 0:
-            raise ArithmeticError(
-                f"non-integral LR coefficient for {shape.outer}/{shape.inner}, {nu}"
-            )
-        out[nu] = int(c)
-    return out
+    nu -> c^outer_{inner,nu} for the nu where it is not zero, in
+    partitions(n) order. By the Littlewood-Richardson rule (Fulton, Young
+    Tableaux 5.2; Macdonald I.9) c^outer_{inner,nu} counts the semistandard
+    fillings of the shape with content nu whose reverse reading word (rows
+    top to bottom, each row right to left) is a lattice word: every prefix
+    holds at least as many v-1 as v. One backtracking pass over the cells
+    in that order counts them all; an entry of row r (from 0) is at most
+    r + 1, since the first v read lies strictly below the first v - 1."""
+    # per cell in reverse reading order: the positions in that order of its
+    # right neighbour and of the cell above (-1 where there is none), and
+    # the largest entry its row can hold
+    cells, where = [], {}
+    for r, top in enumerate(shape.outer):
+        for c in range(top - 1, shape.inner_at(r) - 1, -1):
+            where[r, c] = len(cells)
+            cells.append((where.get((r, c + 1), -1), where.get((r - 1, c), -1), r + 1))
+    counts: dict[Partition, int] = {}
+    # count[v] is how many v are placed; count[0] is a bound no count reaches
+    _lr_fill(cells, 0, [0] * len(cells), [len(cells) + 1] + [0] * len(shape.outer), counts)
+    # partitions(n) order is lexicographically decreasing
+    return dict(sorted(counts.items(), reverse=True))
+
+
+def _lr_fill(cells, i: int, vals: list, count: list, out: dict):
+    # a module-level function, not a closure: see combinat._leibniz
+    if i == len(cells):
+        nu = tuple(c for c in count[1:] if c)
+        out[nu] = out.get(nu, 0) + 1
+        return
+    right, above, cap = cells[i]
+    # weakly increasing along the row, strictly increasing down the column
+    low = 1 if above < 0 else vals[above] + 1
+    high = cap if right < 0 else min(cap, vals[right])
+    for v in range(low, high + 1):
+        if count[v] < count[v - 1]:
+            vals[i] = v
+            count[v] += 1
+            _lr_fill(cells, i + 1, vals, count, out)
+            count[v] -= 1
 
 
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:

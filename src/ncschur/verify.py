@@ -29,6 +29,7 @@ from .combinat import (
     skew,
     transpose,
 )
+from .expr_format import add_up
 from .ncpoly import NCPoly
 from .ncsym import (
     _EXPANDERS,
@@ -262,18 +263,20 @@ def suite_rsrefines(max_size: int = 5, inner_cap: int = 3) -> SuiteReport:
 def suite_rslr(max_size: int = 6, inner_cap: int = 3) -> SuiteReport:
     """Rosas-Sagan skew functions expand into straight ones with
     Littlewood-Richardson coefficients, and skew Kostka numbers split the
-    same way."""
+    same way. The coefficients count lattice-word fillings
+    (sym.lr_coefficients), the Rosas-Sagan functions and the skew Kostka
+    rows come from the branching rule (combinat.kostka_row), and the
+    straight Kostka rows from combinat.kostka one entry at a time."""
     detail = f"skew sizes <= {max_size}, inner shapes of size <= {inner_cap}"
     straight: dict = {}  # nu -> the straight Rosas-Sagan function, built once per call
     for shape in skew_shapes(max_size, inner_cap):
         # one LR expansion per shape: the Kostka split checks the same pairs
         pairs = schur.rs_lr_expand(shape)
-        rhs = NCSymExpr.zero("m")
-        for nu, c in pairs:
+        for nu, _ in pairs:
             if nu not in straight:
                 straight[nu] = schur.rosas_sagan(SkewShape(nu, ()))
-            rhs = rhs + straight[nu].scale(c)
-        if rhs != schur.rosas_sagan(shape):
+        rhs = add_up((pi, c * a) for nu, c in pairs for pi, a in straight[nu].terms.items())
+        if rhs != schur.rosas_sagan(shape).terms:
             return SuiteReport("rslr", False, detail, str(shape))
         if not schur.skew_kostka_check(shape, pairs):
             return SuiteReport("rslr", False, detail, f"Kostka split at {shape}")

@@ -186,15 +186,56 @@ def test_lr(capsys):
     assert out.strip() == "2.1\t1"
 
 
-def test_lr_reports_a_bad_kostka_row_with_exit_1(capsys, monkeypatch):
-    import ncschur.sym as sym
+# printed by the Jacobi-Trudi route (h -> m -> s), which shares no code with
+# the lattice-word count
+LR_6543_321 = (
+    "6.4.2\t1\n"
+    "6.4.1.1\t1\n"
+    "6.3.3\t1\n"
+    "6.3.2.1\t2\n"
+    "6.2.2.2\t1\n"
+    "5.5.2\t1\n"
+    "5.5.1.1\t1\n"
+    "5.4.3\t2\n"
+    "5.4.2.1\t4\n"
+    "5.3.3.1\t3\n"
+    "5.3.2.2\t3\n"
+    "4.4.4\t1\n"
+    "4.4.3.1\t3\n"
+    "4.4.2.2\t2\n"
+    "4.3.3.2\t3\n"
+    "3.3.3.3\t1\n"
+)
 
-    good = sym._index_to_m
-    monkeypatch.setattr(sym, "_index_to_m", lambda basis, lam: {
-        g: 2 * k for g, k in good(basis, lam).items()} if basis == "s" else good(basis, lam))
-    code, out, err = run(capsys, "lr", "--shape", "2.2/1")
-    assert (code, out) == (1, "")
-    assert err.strip() == "matrix not unitriangular: row 2.1, column 2.1 holds 2, not 1"
+LR_7654_432 = (
+    "7.4.2\t1\n"
+    "7.4.1.1\t1\n"
+    "7.3.3\t1\n"
+    "7.3.2.1\t2\n"
+    "7.2.2.2\t1\n"
+    "6.5.2\t1\n"
+    "6.5.1.1\t1\n"
+    "6.4.3\t2\n"
+    "6.4.2.1\t4\n"
+    "6.3.3.1\t3\n"
+    "6.3.2.2\t3\n"
+    "5.5.3\t1\n"
+    "5.5.2.1\t2\n"
+    "5.4.4\t1\n"
+    "5.4.3.1\t4\n"
+    "5.4.2.2\t3\n"
+    "5.3.3.2\t3\n"
+    "4.4.4.1\t1\n"
+    "4.4.3.2\t2\n"
+    "4.3.3.3\t1\n"
+)
+
+
+@pytest.mark.parametrize("shape, want", [("6.5.4.3/3.2.1", LR_6543_321),
+                                         ("7.6.5.4/4.3.2", LR_7654_432)])
+def test_lr_at_sizes_12_and_13(capsys, shape, want):
+    code, out, _ = run(capsys, "lr", "--shape", shape)
+    assert (code, out) == (0, want)
 
 
 def test_kostka(capsys):

@@ -18,6 +18,7 @@ from ncschur.combinat import (
     interval_partition,
     jacobi_trudi_terms,
     kostka,
+    kostka_row,
     meet,
     near_concat,
     parse_partition,
@@ -142,6 +143,13 @@ def test_kostka_matches_the_tableau_enumeration():
             assert kostka(shape, nu) == want, (shape, nu)
     assert kostka(skew((2, 1)), (2,)) == 0
     assert kostka(skew((1,)), (1, 1)) == 0
+
+
+def test_kostka_row_matches_kostka():
+    # one branching pass per shape against one count per content
+    for shape in skew_shapes(7, 3):
+        want = [(nu, k) for nu in partitions(shape.size) if (k := kostka(shape, nu))]
+        assert list(kostka_row(shape).items()) == want, str(shape)
 
 
 def test_syt_counts():

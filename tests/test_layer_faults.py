@@ -1,0 +1,69 @@
+"""One monkeypatched fault per library layer, each with the suite that must
+report it, run at the smallest size that does. A fault that no suite
+catches at any size is a layer that ``ncschur verify`` does not check."""
+
+from ncschur import schur, sym
+from ncschur.combinat import SkewShape
+from ncschur.verify import suite_rslr
+
+# ---------------------------------------------------------------------------
+# Littlewood-Richardson coefficients and Kostka numbers
+
+
+def fill_without_lattice_prune(cells, i, vals, count, out):
+    """sym._lr_fill with its lattice condition dropped: it counts every
+    semistandard filling whose entries stay within their row's bound."""
+    if i == len(cells):
+        nu = tuple(c for c in count[1:] if c)
+        out[nu] = out.get(nu, 0) + 1
+        return
+    right, above, cap = cells[i]
+    low = 1 if above < 0 else vals[above] + 1
+    high = cap if right < 0 else min(cap, vals[right])
+    for v in range(low, high + 1):
+        vals[i] = v
+        count[v] += 1
+        fill_without_lattice_prune(cells, i + 1, vals, count, out)
+        count[v] -= 1
+
+
+def test_rslr_catches_lr_fillings_without_the_lattice_prune(monkeypatch):
+    monkeypatch.setattr(sym, "_lr_fill", fill_without_lattice_prune)
+    # smallest size: 1. The cell of 1.1/1 takes 1 or 2, and both count
+    # towards nu = 1 once the lattice word is not required
+    report = suite_rslr(max_size=1, inner_cap=3)
+    assert not report.ok
+    assert report.counterexample == "1.1/1"
+
+
+def test_rslr_catches_a_raised_kostka_row_entry(monkeypatch):
+    orig = schur.kostka_row
+
+    def raised(shape):
+        row = orig(shape)
+        if shape == SkewShape((2, 1), ()):
+            row[1, 1, 1] += 1
+        return row
+
+    monkeypatch.setattr(schur, "kostka_row", raised)
+    # smallest size: 3, the size of 2.1. Both sides of the Rosas-Sagan
+    # expansion of 2.1 read the raised row, so only the Kostka split,
+    # whose straight rows come from combinat.kostka, tells them apart
+    assert suite_rslr(max_size=2, inner_cap=3).ok
+    report = suite_rslr(max_size=3, inner_cap=3)
+    assert not report.ok
+    assert report.counterexample == "Kostka split at 2.1"
+
+
+def test_rslr_catches_a_doubled_straight_kostka_row(monkeypatch):
+    good = sym._index_to_m
+    monkeypatch.setattr(sym, "_index_to_m", lambda basis, lam: {
+        g: 2 * k for g, k in good(basis, lam).items()} if (basis, lam) == ("s", (1, 1))
+        else good(basis, lam))
+    # smallest size: 2, the size of 1.1. The LR coefficients and the
+    # Rosas-Sagan functions read no m-expansion of a Schur function, so the
+    # fault shows only in the Kostka split
+    assert suite_rslr(max_size=1, inner_cap=3).ok
+    report = suite_rslr(max_size=2, inner_cap=3)
+    assert not report.ok
+    assert report.counterexample == "Kostka split at 1.1"

@@ -10,9 +10,11 @@ from ncschur.sym import (
     expand,
     jacobi_trudi,
     littlewood_richardson,
+    lr_coefficients,
     m_to_s,
     skew_schur,
 )
+from ncschur.verify import skew_shapes
 
 
 def test_schur_21_in_h_basis():
@@ -118,6 +120,15 @@ def test_littlewood_richardson_values():
     assert littlewood_richardson((4, 2), (2,), (2, 2)) == 1
     assert littlewood_richardson((2, 2), (1,), (3,)) == 0
     assert littlewood_richardson((3,), (1,), (1, 1)) == 0
+
+
+def test_lr_coefficients_match_the_jacobi_trudi_route():
+    # lattice-word fillings against the Schur expansion of the Jacobi-Trudi
+    # determinant (h -> m -> s), which shares no code with them; the lists
+    # pin the partitions(n) order too
+    for shape in skew_shapes(7, 3):
+        want = list(skew_schur(shape, "s").terms.items())
+        assert list(lr_coefficients(shape).items()) == want, str(shape)
 
 
 def test_pieri_rule():
