@@ -209,27 +209,41 @@ def lr_coefficients(shape: SkewShape) -> dict[Partition, int]:
             cells.append((where.get((r, c + 1), -1), where.get((r - 1, c), -1), r + 1))
     counts: dict[Partition, int] = {}
     # count[v] is how many v are placed; count[0] is a bound no count reaches
-    _lr_fill(cells, 0, [0] * len(cells), [len(cells) + 1] + [0] * len(shape.outer), counts)
+    _lr_fill(cells, [len(cells) + 1] + [0] * len(shape.outer), counts)
     # partitions(n) order is lexicographically decreasing
     return dict(sorted(counts.items(), reverse=True))
 
 
-def _lr_fill(cells, i: int, vals: list, count: list, out: dict):
-    # a module-level function, not a closure: see combinat._leibniz
-    if i == len(cells):
-        nu = tuple(c for c in count[1:] if c)
-        out[nu] = out.get(nu, 0) + 1
-        return
-    right, above, cap = cells[i]
-    # weakly increasing along the row, strictly increasing down the column
-    low = 1 if above < 0 else vals[above] + 1
-    high = cap if right < 0 else min(cap, vals[right])
-    for v in range(low, high + 1):
-        if count[v] < count[v - 1]:
+def _lr_fill(cells, count: list, out: dict):
+    # backtracking with an explicit stack, so no recursion limit bounds the
+    # number of cells: vals[i] is the entry of cell i, 0 while it is empty
+    last = len(cells)
+    vals = [0] * last
+    i = 0
+    while i >= 0:
+        if i == last:
+            nu = tuple(c for c in count[1:] if c)
+            out[nu] = out.get(nu, 0) + 1
+            i -= 1
+            continue
+        right, above, cap = cells[i]
+        v = vals[i]
+        if v:  # back from cell i + 1: take v away and try the next entry
+            count[v] -= 1
+        elif above >= 0:
+            v = vals[above]
+        # weakly increasing along the row, strictly increasing down the column
+        high = cap if right < 0 else min(cap, vals[right])
+        v += 1
+        while v <= high and count[v] >= count[v - 1]:
+            v += 1
+        if v <= high:
             vals[i] = v
             count[v] += 1
-            _lr_fill(cells, i + 1, vals, count, out)
-            count[v] -= 1
+            i += 1
+        else:
+            vals[i] = 0
+            i -= 1
 
 
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -96,7 +96,12 @@ def _is_outer_product(words: array, left: array, right: array) -> bool:
 def suite_prod(max_size: int = 7) -> SuiteReport:
     """Products of straight source functions split into concatenation and
     near-concatenation; basis products match the slash product and the
-    word-level oracle."""
+    word-level oracle.
+
+    The word-level slash check runs one basis at a time, h, then e, then
+    p, so a counterexample is reported in that order within each degree.
+    Only the running basis's factor expansions are alive: about 3.2 MiB at
+    n = 6, against 9.7 MiB for all three bases at once."""
     slash_size = min(max_size, 6)
     detail = (
         f"|lam|+|mu| <= {max_size}; slash/oracle pairs of total size <= {slash_size}"
@@ -117,37 +122,20 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                     rhs = sum(map(source, shapes), NCSymExpr.zero("h"))
                     if prod != rhs:
                         return fail(f"lam={format_partition(lam)} mu={format_partition(mu)}")
-    bases = ("h", "e", "p")
     for n in range(2, slash_size + 1):
-        factors = {
-            pi: {b: _EXPANDERS[b](pi, n) for b in bases}
-            for a in range(1, n)
-            for pi in set_partitions(a)
-        }
+        # tau = slash(pi, sig) with |pi| = a exactly when no block of tau
+        # has elements on both sides of a; each tau is expanded once per
+        # basis and compared at every such split
+        taus = []
         for tau in set_partitions(n):
-            # tau = slash(pi, sig) with |pi| = a exactly when no block of tau
-            # has elements on both sides of a; each tau is expanded once per
-            # basis and compared at every such split
             splits = [a for a in range(1, n) if all(b[0] > a or b[-1] <= a for b in tau)]
-            if not splits:
-                continue
-            for basis in bases:
-                lhs = _EXPANDERS[basis](tau, n)
-                for a in splits:
-                    pi = tuple(b for b in tau if b[-1] <= a)
-                    sig = tuple(tuple(x - a for x in b) for b in tau if b[0] > a)
-                    # the slash-product rule at word level: the expansion of
-                    # tau must equal the outer product of the factors' (the
-                    # base-n words of lengths a and n - a concatenate to
-                    # w1 * n**(n - a) + w2); the length guard comes first, as
-                    # it catches a factor list of the wrong length, which the
-                    # outer product would otherwise absorb
-                    left, right = factors[pi][basis], factors[sig][basis]
-                    lengths = (len(lhs), len(left), len(right))
-                    if lengths != (n**n, n**a, n ** (n - a)) or not _is_outer_product(
-                            lhs, left, right):
-                        return fail(f"{basis}: pi={format_set_partition(pi)} "
-                                    f"sig={format_set_partition(sig)}")
+            if splits:
+                taus.append((tau, splits))
+        factors = dict.fromkeys(pi for a in range(1, n) for pi in set_partitions(a))
+        for basis in ("h", "e", "p"):
+            found = _slash_counterexample(n, basis, taus, factors)
+            if found:
+                return fail(found)
     # the structured two-term rules with permutations and on basis elements
     for total in range(2, min(max_size, 5) + 1):
         for a in range(1, total):
@@ -159,6 +147,32 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
                         return fail(f"s: pi={format_set_partition(pi)} "
                                     f"sig={format_set_partition(sig)}")
     return SuiteReport("prod", True, detail)
+
+
+def _slash_counterexample(n: int, basis: str, taus: list, factors: dict) -> str | None:
+    # the factors' expansions in this basis replace the last basis's one
+    # entry at a time, so one basis's table is alive and its freed arrays
+    # are reused rather than handed back to the OS and faulted in again
+    expand = _EXPANDERS[basis]
+    for pi in factors:
+        factors[pi] = expand(pi, n)
+    for tau, splits in taus:
+        lhs = expand(tau, n)
+        for a in splits:
+            pi = tuple(b for b in tau if b[-1] <= a)
+            sig = tuple(tuple(x - a for x in b) for b in tau if b[0] > a)
+            # the slash-product rule at word level: the expansion of tau
+            # must equal the outer product of the factors' (the base-n words
+            # of lengths a and n - a concatenate to w1 * n**(n - a) + w2);
+            # the length guard comes first, as it catches a factor list of
+            # the wrong length, which the outer product would otherwise absorb
+            left, right = factors[pi], factors[sig]
+            lengths = (len(lhs), len(left), len(right))
+            if lengths != (n**n, n**a, n ** (n - a)) or not _is_outer_product(
+                    lhs, left, right):
+                return (f"{basis}: pi={format_set_partition(pi)} "
+                        f"sig={format_set_partition(sig)}")
+    return None
 
 
 def suite_ncschur_triangular(max_n: int = 5) -> SuiteReport:

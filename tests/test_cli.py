@@ -238,6 +238,17 @@ def test_lr_at_sizes_12_and_13(capsys, shape, want):
     assert (code, out) == (0, want)
 
 
+@pytest.mark.parametrize("shape, want", [
+    ("1000", "1000\t1\n"),
+    (".".join(["1"] * 1000), ".".join(["1"] * 1000) + "\t1\n"),
+], ids=["row", "column"])
+def test_lr_of_a_thousand_cells(capsys, shape, want):
+    # one row and one column of 1000 cells: the filling is backtracked on
+    # an explicit stack, so the cell count is not bounded by recursion depth
+    code, out, _ = run(capsys, "lr", "--shape", shape)
+    assert (code, out) == (0, want)
+
+
 def test_kostka(capsys):
     code, out, _ = run(capsys, "kostka", "--shape", "2.1", "--content", "1.1.1")
     assert code == 0

@@ -10,9 +10,13 @@ from ncschur.verify import suite_rslr
 # Littlewood-Richardson coefficients and Kostka numbers
 
 
-def fill_without_lattice_prune(cells, i, vals, count, out):
+def fill_without_lattice_prune(cells, count, out):
     """sym._lr_fill with its lattice condition dropped: it counts every
     semistandard filling whose entries stay within their row's bound."""
+    fill_every(cells, 0, [0] * len(cells), count, out)
+
+
+def fill_every(cells, i, vals, count, out):
     if i == len(cells):
         nu = tuple(c for c in count[1:] if c)
         out[nu] = out.get(nu, 0) + 1
@@ -23,7 +27,7 @@ def fill_without_lattice_prune(cells, i, vals, count, out):
     for v in range(low, high + 1):
         vals[i] = v
         count[v] += 1
-        fill_without_lattice_prune(cells, i + 1, vals, count, out)
+        fill_every(cells, i + 1, vals, count, out)
         count[v] -= 1
 
 

@@ -3,6 +3,7 @@ counterexample when the library breaks the identity. The library calls are
 monkeypatched to return wrong answers; the ranges are small."""
 
 import re
+import tracemalloc
 from array import array
 
 import pytest
@@ -162,6 +163,41 @@ def test_prod_compares_every_entry_of_the_slash_product(monkeypatch, tau, a, exp
         report = suite_prod(max_size=4)
         assert not report.ok, index
         assert report.counterexample == expected, index
+
+
+def test_prod_finds_slash_faults_in_h_e_p_order(monkeypatch):
+    # the taus of degree 3 that split are 1/2/3, 1/23 and 12/3, in that
+    # order; e is wrong on the first and h on the last, so a tau-major walk
+    # would name the e fault first, while one basis at a time names h's
+    def wrong_on(basis, tau):
+        orig = ncsym._EXPANDERS[basis]
+
+        def wrong(p, k):
+            words = orig(p, k)
+            return array("q", [c + 1 for c in words]) if p == tau else words
+        monkeypatch.setitem(ncsym._EXPANDERS, basis, wrong)
+
+    wrong_on("e", parse_set_partition("1/2/3"))
+    wrong_on("h", parse_set_partition("12/3"))
+    report = suite_prod(max_size=3)
+    assert not report.ok
+    assert report.counterexample == "h: pi=12 sig=1"
+
+
+def test_prod_holds_one_basis_factor_table_at_a_time():
+    # the factor expansions of one basis at n = 6: every set partition of
+    # degree a < 6 over 6 letters, 6^a entries each; holding the three
+    # bases' tables at once would pass twice that
+    n = 6
+    table = sum(len(set_partitions(a)) * n**a for a in range(1, n)) * array("q").itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert suite_prod(max_size=n).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table, (peak, table)
 
 
 def outer(left, right):
