@@ -33,11 +33,15 @@ SIZE_OPTIONS = ("max_size", "max_n", "max_degree")
 # not import verify; a command imports only the modules that it runs
 SUITE_NAMES = ("prod", "ncschur-triangular", "transpose", "deltaact", "rsrefines", "rslr",
                "rscoprod", "iota", "lgv", "specht")
+# the commands that print counts or ledgers, which have no JSON form
+PLAIN_ONLY = ("lr", "kostka", "specht-rank", "lgv-check")
 
 
 def _index_expr(args) -> NCSymExpr:
     if getattr(args, "expr", None):
         return NCSymExpr.from_json(args.expr)
+    if args.index is None:
+        raise ValueError(f"{args.command}: needs --index or --expr")
     return NCSymExpr.single(args.basis, parse_set_partition(args.index))
 
 
@@ -282,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "json" and args.command in PLAIN_ONLY:
+        print(f"{args.command}: has no --format json output", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except ValueError as exc:  # ParseError included

@@ -24,35 +24,25 @@ from .combinat import (
 )
 
 
-class _Path(NamedTuple):
+class LatticePath(NamedTuple):
+    """A path from (start_x, 1) to its end column x = end_x, stored as its
+    weakly increasing east-step heights. In column start_x + j it runs up
+    from h_j (1 when j = 0) to h_(j+1); in the end column it runs up
+    forever."""
+
     start_x: int
-    heights: tuple[int, ...]  # weakly increasing east-step heights
+    heights: tuple[int, ...]
 
+    @property
+    def end_x(self) -> int:
+        return self.start_x + len(self.heights)
 
-class LatticePath(_Path):
-    """A path with its table of visited points, made once when the path is
-    built: ``points`` holds them up to height ``top``, one above the highest
-    east step (and at least 2); above that the path runs straight up the
-    column x = end_x. Equality and hashing are the tuple's: the table
-    derives from (start_x, heights)."""
-
-    def __new__(cls, start_x: int, heights: tuple[int, ...]):
-        self = super().__new__(cls, start_x, heights)
-        self.end_x = start_x + len(heights)
-        self.top = max(heights, default=1) + 1
-        x, y = start_x, 1
-        points = [(x, y)]
-        for h in heights:
-            while y < h:
-                y += 1
-                points.append((x, y))
-            x += 1
-            points.append((x, y))
-        while y < self.top:
-            y += 1
-            points.append((x, y))
-        self.points = frozenset(points)
-        return self
+    def run(self, x: int) -> tuple[int, int | None]:
+        """The lowest and highest heights of the path in column x, for
+        start_x <= x <= end_x; the highest is None in the end column."""
+        j = x - self.start_x
+        return (self.heights[j - 1] if j else 1,
+                self.heights[j] if j < len(self.heights) else None)
 
     def __str__(self):
         return f"{self.start_x}: {','.join(map(str, self.heights))}"
@@ -135,21 +125,17 @@ def all_path_tuples(shape: SkewShape, height_cap: int) -> Iterator[PathTuple]:
 # ---------------------------------------------------------------------------
 # intersections and the swap
 
-def common_points(p: LatticePath, q: LatticePath) -> list[tuple[int, int]]:
-    """All lattice points visited by both paths up to the higher of their
-    two tops, in traversal order (the coordinate sum increases strictly
-    along a path, so the order is by x + y). Above its own table a path
-    runs up its end column, so the other path's points there are common
-    too. The infinite tails meet only if the end points coincide."""
-    top = max(p.top, q.top)
-    common = list(p.points & q.points)
-    for a, b in ((p, q), (q, p)):
-        if a.top < top:
-            common.extend(pt for pt in b.points if pt[0] == a.end_x and pt[1] > a.top)
-    if p.end_x == q.end_x:
-        # tails coincide from height `top` upward; one witness is enough
-        common.append((p.end_x, top + 1))
-    return sorted(common, key=sum)
+def last_meeting_column(p: LatticePath, q: LatticePath) -> int | None:
+    """The largest column in which the two paths share a point, or None
+    when they never meet. Two paths meet in a column exactly when their
+    runs there overlap, and since x + y increases strictly along a path,
+    their last common point lies in this column. Paths whose end columns
+    coincide meet there, in their infinite tails."""
+    for x in range(min(p.end_x, q.end_x), max(p.start_x, q.start_x) - 1, -1):
+        (p_lo, p_hi), (q_lo, q_hi) = p.run(x), q.run(x)
+        if (p_hi is None or q_lo <= p_hi) and (q_hi is None or p_lo <= q_hi):
+            return x
+    return None
 
 
 def _split_labels(paths) -> list[list[int]]:
@@ -164,24 +150,24 @@ def _split_labels(paths) -> list[list[int]]:
 
 def lgv_swap(P: PathTuple) -> tuple[PathTuple, Perm]:
     """The sign-reversing swap: locate the largest index whose path meets
-    another, the largest partner index, and their last common point; then
-    exchange the two prefixes up to that point. Returns the swapped tuple
-    and the label-exchange permutation."""
+    another, the largest partner index, and the column a of their last
+    common point; then exchange the two paths' east steps left of column a.
+    Returns the swapped tuple and the label-exchange permutation."""
     paths = P.paths
     ell = len(paths)
     # partners are tried from the largest index down, so the first that
     # meets path i is the largest
     target = next(
-        ((i, j, points[-1])
+        ((i, j, a)
          for i in range(ell - 1, -1, -1)
          for j in range(ell - 1, -1, -1)
-         if j != i and (points := common_points(paths[i], paths[j]))),
+         if j != i and (a := last_meeting_column(paths[i], paths[j])) is not None),
         None,
     )
     n = sum(len(p.heights) for p in paths)
     if target is None:
         return P, tuple(range(1, n + 1))
-    i, j, (a, _) = target
+    i, j, a = target
     cut_i = a - paths[i].start_x
     cut_j = a - paths[j].start_x
     new_i = LatticePath(
@@ -222,7 +208,7 @@ def monomial(delta: Perm, P: PathTuple) -> tuple[int, ...]:
 
 def is_self_intersecting(P: PathTuple) -> bool:
     return any(
-        common_points(P.paths[i], P.paths[j])
+        last_meeting_column(P.paths[i], P.paths[j]) is not None
         for i in range(len(P.paths))
         for j in range(i + 1, len(P.paths))
     )

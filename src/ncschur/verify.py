@@ -378,8 +378,9 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
                 signed[content] = signed.get(content, 0) + P.sign()
                 if apart:
                     collapsed[content] = collapsed.get(content, 0) + 1
-            signed = {w: c for w, c in _relabel_tally(signed).items() if c}
-            if signed != _relabel_tally(collapsed):
+            # each content spreads to its own words with a positive count, so
+            # the contents collapse exactly when the words do
+            if {c: v for c, v in signed.items() if v} != collapsed:
                 return fail(f"signed sum does not collapse: {shape} k={k}")
             if any(oracle_expand(images[eps], k) != NCPoly(k, _relabel_tally(tally))
                    for eps, tally in contents.items()):

@@ -71,6 +71,32 @@ def test_schur_rejects_an_option_it_would_ignore(capsys, argv, options):
     assert all(option in err for option in options)
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--basis", "h"),
+    ("convert", "--to", "m"),
+    ("rho",),
+    ("omega", "--basis", "p"),
+    ("act", "--delta", "12"),
+])
+def test_an_expression_command_without_an_index_is_a_usage_error(capsys, argv):
+    code, err = usage_error(capsys, *argv)
+    assert code == 2
+    assert argv[0] in err and "--index" in err and "--expr" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lr", "--shape", "2.2/1"),
+    ("kostka", "--shape", "2.1", "--content", "1.1.1"),
+    ("specht-rank", "--shape", "2.1"),
+    ("lgv-check", "--shape", "2.1", "--cap", "2"),
+])
+def test_json_format_is_a_usage_error_where_there_is_no_json_output(capsys, argv):
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[0] in err and "--format json" in err
+
+
 def test_expand_to_monomials(capsys):
     code, out, _ = run(capsys, "expand", "--basis", "e", "--index", "123")
     assert code == 0

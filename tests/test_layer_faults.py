@@ -2,9 +2,9 @@
 report it, run at the smallest size that does. A fault that no suite
 catches at any size is a layer that ``ncschur verify`` does not check."""
 
-from ncschur import schur, sym
+from ncschur import lgv, schur, sym
 from ncschur.combinat import SkewShape
-from ncschur.verify import suite_rslr
+from ncschur.verify import suite_lgv, suite_rslr
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients and Kostka numbers
@@ -71,3 +71,57 @@ def test_rslr_catches_a_doubled_straight_kostka_row(monkeypatch):
     report = suite_rslr(max_size=2, inner_cap=3)
     assert not report.ok
     assert report.counterexample == "Kostka split at 1.1"
+
+
+# ---------------------------------------------------------------------------
+# lattice-path meetings and the swap
+
+
+def first_meeting_column(p, q):
+    """lgv.last_meeting_column scanning from the left: it returns the
+    first column in which the paths meet."""
+    for x in range(max(p.start_x, q.start_x), min(p.end_x, q.end_x) + 1):
+        (p_lo, p_hi), (q_lo, q_hi) = p.run(x), q.run(x)
+        if (p_hi is None or q_lo <= p_hi) and (q_hi is None or p_lo <= q_hi):
+            return x
+    return None
+
+
+def meeting_column_of_strict_overlap(p, q):
+    """lgv.last_meeting_column with each run's ends excluded from the
+    overlap test, so runs that touch in one point count as apart."""
+    for x in range(min(p.end_x, q.end_x), max(p.start_x, q.start_x) - 1, -1):
+        (p_lo, p_hi), (q_lo, q_hi) = p.run(x), q.run(x)
+        if (p_hi is None or q_lo < p_hi) and (q_hi is None or p_lo < q_hi):
+            return x
+    return None
+
+
+def test_lgv_catches_runs_that_touch_counted_as_apart(monkeypatch):
+    monkeypatch.setattr(lgv, "last_meeting_column", meeting_column_of_strict_overlap)
+    # smallest size: 2. On 1.1 at cap 1, with the start points swapped, the
+    # first path's run in column -1 is the single point (-1, 1), where the
+    # second path starts. The two paths meet there, but the faulty swap
+    # leaves the tuple fixed though its matching is not the identity
+    assert suite_lgv(max_size=1).ok
+    report = suite_lgv(max_size=2)
+    assert not report.ok
+    assert report.counterexample == "fixed-point shape wrong: 1.1 k=1\n-2: 1,1\n-1: "
+
+
+def test_swap_at_the_first_meeting_column_is_caught_only_by_the_worked_example(monkeypatch):
+    monkeypatch.setattr(lgv, "last_meeting_column", first_meeting_column)
+    # exchanging the steps left of the first meeting column is a
+    # sign-reversing involution too, with the same fixed points and
+    # height-preserving labels: it moves 162 of the 6086 swaps of the
+    # default range, and suite_lgv passes at its defaults (and at size 5
+    # with cap 3 or size 4 with cap 5, inner shapes of size <= 3). Only the
+    # source paper's worked example tells the two swaps apart
+    assert suite_lgv().ok
+    P = lgv.path_tuple(
+        SkewShape((3, 3, 2), (1, 1)),
+        (2, 1, 3),
+        [lgv.path(-1, (2, 2, 3)), lgv.path(0, (3,)), lgv.path(-3, (1, 3))],
+    )
+    # the paper's swap exchanges labels by 342156
+    assert lgv.lgv_swap(P)[1] == (3, 1, 2, 4, 5, 6)

@@ -11,10 +11,10 @@ from ncschur.combinat import SkewShape, perm_compose, permutations, skew, ssyt
 from ncschur.lgv import (
     LatticePath,
     all_path_tuples,
-    common_points,
     enumerate_path_tuples,
     fixed_points_to_ssyt,
     is_self_intersecting,
+    last_meeting_column,
     lgv_swap,
     monomial,
     path,
@@ -45,30 +45,30 @@ def test_path_validation():
     assert path(3, ()).end_x == 3
 
 
-def row(p, y):
-    """The x-coordinates in a path's point table at height y."""
-    return sorted(x for x, h in p.points if h == y)
+def runs(p):
+    """The path's run in each of its columns, left to right."""
+    return [p.run(x) for x in range(p.start_x, p.end_x + 1)]
 
 
 def test_path_geometry():
     p = path(0, (1, 1, 3))
-    assert row(p, 1) == [0, 1, 2]
-    assert row(p, 2) == [2]
-    assert row(p, 3) == [2, 3]
+    assert runs(p) == [(1, 1), (1, 1), (1, 3), (3, None)]
 
 
 def test_x_range_matches_counting_east_steps():
-    # at each height up to the top, the table holds the x-range from the
-    # east steps below y to those at or below y, and nothing else
+    # height y lies on column x's run exactly when x is between the number
+    # of east steps below y and the number at or below y, past the start
     for r in range(5):
         for heights in itertools.combinations_with_replacement(range(1, 5), r):
             for start in (0, 2):
                 p = path(start, heights)
-                assert {y for _, y in p.points} == set(range(1, p.top + 1)), p
-                for y in range(1, p.top + 1):
-                    lo = start + sum(1 for h in heights if h < y)
-                    hi = start + sum(1 for h in heights if h <= y)
-                    assert row(p, y) == list(range(lo, hi + 1)), (p, y)
+                for x in range(start, p.end_x + 1):
+                    lo, hi = p.run(x)
+                    for y in range(1, max(heights, default=1) + 3):
+                        below = start + sum(1 for h in heights if h < y)
+                        at_or_below = start + sum(1 for h in heights if h <= y)
+                        on_run = lo <= y and (hi is None or y <= hi)
+                        assert on_run == (below <= x <= at_or_below), (p, x, y)
 
 
 def test_path_tuple_start_and_end_validation():
@@ -82,12 +82,14 @@ def test_path_tuple_start_and_end_validation():
 def test_common_points_ordered_by_coordinate_sum():
     p = path(0, (1, 3))
     q = path(-1, (1, 1, 2))
-    pts = common_points(p, q)
+    pts = bisect_common_points(p, q)
     sums = [x + y for x, y in pts]
     assert sums == sorted(sums)
-    # q's table ends at its top 3, below the common point (2, 4) on its end
-    # column, so the points are checked against the bisect reference
-    assert pts == bisect_common_points(p, q)
+    # the last common point is the tails' witness (2, 5), above (2, 3) and
+    # (2, 4) on the shared end column
+    assert pts[-3:] == [(2, 3), (2, 4), (2, 5)]
+    assert last_meeting_column(p, q) == last_x(pts) == 2
+    assert last_meeting_column(path(0, (1,)), path(2, (3,))) is None
 
 
 def test_worked_example_swap():
@@ -184,13 +186,19 @@ def bisect_common_points(p, q):
     return sorted(out, key=lambda pt: pt[0] + pt[1])
 
 
-def test_point_table_holds_the_path_up_to_its_top():
+def last_x(points):
+    """The x of the last point, or None when there is none."""
+    return points[-1][0] if points else None
+
+
+def test_a_path_is_its_start_and_heights():
+    # the end column's run has no top, even on a path with no east step
+    p = path(2, ())
+    assert p.end_x == 2 and runs(p) == [(1, None)]
+    # the path stores nothing beyond the tuple
     p = path(0, (1, 1, 3))
-    assert p.top == 4
-    assert p.points == {(0, 1), (1, 1), (2, 1), (2, 2), (2, 3), (3, 3), (3, 4)}
-    assert path(2, ()).points == {(2, 1), (2, 2)}
-    # the table is no part of equality or hashing
     assert p == (0, (1, 1, 3)) and hash(p) == hash((0, (1, 1, 3)))
+    assert not hasattr(p, "__dict__")
 
 
 def test_common_points_match_the_bisect_reference_on_the_default_range():
@@ -200,8 +208,9 @@ def test_common_points_match_the_bisect_reference_on_the_default_range():
         for P in all_path_tuples(shape, k)
         for p, q in itertools.permutations(P.paths, 2)
     }
-    assert len(pairs) > 1000
-    bad = [(p, q) for p, q in pairs if common_points(p, q) != bisect_common_points(p, q)]
+    assert len(pairs) == 5312
+    bad = [(p, q) for p, q in pairs
+           if last_meeting_column(p, q) != last_x(bisect_common_points(p, q))]
     assert bad == []
 
 
@@ -209,9 +218,10 @@ def test_common_points_match_the_bisect_reference_across_tops():
     # paths of unequal tops meet on the lower one's end column, or not
     paths = [path(start, hs) for start in (-2, 0, 1)
              for r in range(4) for hs in itertools.combinations_with_replacement(range(1, 5), r)]
+    assert len(paths) ** 2 == 11025
     for p in paths:
         for q in paths:
-            assert common_points(p, q) == bisect_common_points(p, q), (p, q)
+            assert last_meeting_column(p, q) == last_x(bisect_common_points(p, q)), (p, q)
 
 
 def test_every_swap_of_the_default_range_lands_in_the_enumeration():
@@ -242,8 +252,8 @@ def test_height_word_tallies_equal_the_per_permutation_monomial_tallies(shape):
 
 
 # sha256 of the ``lgv-check`` ledgers of DEFAULT_RANGE, in order, printed by
-# the per-height common_points and the two-swap suite that preceded the
-# point tables
+# the per-height common points, then by per-path point tables, before the
+# meeting column came from column runs
 LEDGERS_SHA256 = "bfc66847d82c6b1791977579af9194f06668aa9372da41a57899ca7198b5ae9d"
 
 
