@@ -60,7 +60,11 @@ def _parse_tableau_rows(text: str):
 def cmd_expand(args) -> int:
     expr = _index_expr(args)
     if args.vars is not None:
-        poly = oracle_expand(expr, args.vars)
+        try:
+            poly = oracle_expand(expr, args.vars)
+        except OverflowError as exc:
+            print(f"expand: {exc}", file=sys.stderr)
+            return 2
         if args.format == "json":
             print(poly.to_json())
         else:

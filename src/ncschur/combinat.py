@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -215,30 +216,41 @@ def jacobi_trudi_terms(
     whose entries outer[i] - inner[eps(i)] - i + eps(i) are all
     non-negative, the pair (sign of eps, entries in row order), with eps in
     lexicographic order. ``outer`` may be any composition; missing inner
-    parts read 0. A negative entry cuts its branch, so permutations that
-    cannot contribute are never built."""
+    parts read 0.
+
+    j - inner[j] strictly increases, so each row's non-negative entries
+    fill a suffix of the columns, and an entry strictly increases with its
+    column. The rows are walked bottom-up, a negative entry cutting its
+    branch. On a skew shape (outer a partition containing inner) the
+    suffixes shrink down the rows and row i's holds column i, so the row
+    being placed has every column used below it in its suffix and one more
+    free: every branch ends in a term, within rows * terms + 1 calls. As
+    the entries of a row increase with the column, sorting the terms by
+    their entries puts eps in lexicographic order."""
     ell = len(outer)
     inner = tuple(inner) + (0,) * (ell - len(inner))
     # each row's non-negative entries, as (column, entry) in column order
     rows = [[(j, c) for j in range(ell) if (c := outer[i] - inner[j] - i + j) >= 0]
             for i in range(ell)]
     out: list[tuple[int, tuple[int, ...]]] = []
-    _leibniz(rows, 0, 0, 1, (), out)
+    _leibniz(rows, ell - 1, 0, 1, (), out)
+    out.sort(key=itemgetter(1))
     return out
 
 
 def _leibniz(rows, i: int, used: int, sign: int, entries: tuple[int, ...], out: list):
     # a module-level function, not a closure: a closure that calls itself
     # is a reference cycle, which would keep out alive until the collector runs
-    if i == len(rows):
+    if i < 0:
         out.append((sign, entries))
         return
     for j, c in rows[i]:
         if used >> j & 1:
             continue
-        # columns already used right of this one each make an inversion
-        _leibniz(rows, i + 1, used | 1 << j, -sign if (used >> (j + 1)).bit_count() & 1 else sign,
-                 entries + (c,), out)
+        # each row below, already placed in a column left of this one,
+        # makes an inversion with it
+        _leibniz(rows, i - 1, used | 1 << j, -sign if (used & (1 << j) - 1).bit_count() & 1 else sign,
+                 (c,) + entries, out)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +271,8 @@ def sp_size(pi: SetPartition) -> int:
 
 
 def shape_of(pi: SetPartition) -> Partition:
-    """Block sizes, weakly decreasing."""
-    return sort_to_partition(len(b) for b in pi)
+    """Block sizes, weakly decreasing (a block is never empty)."""
+    return tuple(sorted(map(len, pi), reverse=True))
 
 
 def interval_partition(lam: Partition) -> SetPartition:

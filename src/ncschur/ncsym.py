@@ -39,8 +39,9 @@ from .ncpoly import NCPoly
 from .sym import SymExpr
 
 # expansion into words makes an array("q") of k^n coefficients per index, 8
-# bytes a word (8 MB at the word limit); each coefficient is at most n!, far
-# inside int64; anything past these is a mistake, not a job
+# bytes a word (8 MB at the word limit); each coefficient of one index is at
+# most n!, far inside int64 (an expression's, scaled to one denominator, may
+# not be: see word_vectors); anything past these is a mistake, not a job
 ORACLE_DEGREE_LIMIT = 8
 ORACLE_WORD_LIMIT = 10**6
 
@@ -357,15 +358,19 @@ def omega(expr: NCSymExpr) -> NCSymExpr:
 
 
 def delta_action(delta: Perm, expr: NCSymExpr) -> NCSymExpr:
-    """Relabel every index by the permutation. Defined on the m/p/e/h bases."""
+    """Relabel every index by the permutation. Defined on the m/p/e/h bases;
+    the identity returns the (immutable) expression itself."""
     if expr.basis not in ("m", "p", "e", "h"):
         raise ValueError("the permutation action needs an m/p/e/h expression")
     n = len(delta)
-    if sorted(delta) != list(range(1, n + 1)) or any(sp_size(pi) != n for pi in expr.terms):
+    identity = list(range(1, n + 1))
+    if sorted(delta) != identity or any(sp_size(pi) != n for pi in expr.terms):
         # the checked relabelling raises the error of the first bad term
         return NCSymExpr._trusted(expr.basis, add_up(
             (permute_set_partition(delta, pi), c) for pi, c in expr.terms.items()
         ))
+    if list(delta) == identity:
+        return expr
     # a permutation moves distinct set partitions to distinct ones
     return NCSymExpr._trusted(expr.basis, {relabel(delta, pi): c for pi, c in expr.terms.items()})
 
@@ -596,25 +601,45 @@ def _expand_h(pi: SetPartition, k: int) -> array:
 _EXPANDERS = {"m": _expand_m, "p": _expand_p, "e": _expand_e, "h": _expand_h}
 
 
-def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
-    """Exact truncated expansion into words over x_1..x_k. The expanders
-    give array("q") coefficient vectors of length k^n indexed by base-k
-    integers (see _words), which name a word only with its length: the
-    nonzero entries are added up per degree and decoded only here. The
+def word_vectors(expr: NCSymExpr, k: int) -> tuple[dict[int, array], int]:
+    """The expansion into words over x_1..x_k in integers: per degree n an
+    array("q") of k^n entries, indexed by base-k integers as _words
+    indexes them, over one common denominator den, the lcm of the
+    coefficients' denominators. Entry w of degree n is den times the
+    coefficient of its word. Each term adds its scaled coefficient times
+    its expansion at the expansion's nonzero entries only (an m-expansion
+    has at most k! of its k^n), in Python integers; an entry past int64
+    raises OverflowError when the sums become arrays: none is wrapped. The
     guards run on every term before any vector is made."""
     if k < 1:
         raise ValueError("need at least one variable")
     for pi in expr.terms:
         _check_size(expr.basis, pi, k)
     if expr.basis in ("s", "st"):
-        return oracle_expand(to_h_or_e(expr), k)
-    words = add_up(
-        ((n, w), coeff * c)
-        for pi, coeff in expr.terms.items() for n in [sp_size(pi)]
-        for w, c in enumerate(_EXPANDERS[expr.basis](pi, k)) if c
-    )
+        return word_vectors(to_h_or_e(expr), k)
+    expand = _EXPANDERS[expr.basis]
+    den = math.lcm(*(c.denominator for c in expr.terms.values()))
+    sums: dict[int, list[int]] = {}
+    for pi, c in expr.terms.items():
+        n, a, vals = sp_size(pi), c.numerator * (den // c.denominator), expand(pi, k)
+        acc = sums.setdefault(n, [0] * len(vals))
+        for w in itertools.compress(range(len(vals)), vals):
+            acc[w] += a * vals[w]
+    try:
+        return {n: array("q", acc) for n, acc in sums.items()}, den
+    except OverflowError:
+        raise OverflowError(f"word vectors at k = {k}: a coefficient times the common "
+                            f"denominator {den} leaves int64") from None
+
+
+def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
+    """Exact truncated expansion into words over x_1..x_k: the integer word
+    vectors of word_vectors, whose indices name a word only with its
+    length, decoded here with their common denominator."""
+    vectors, den = word_vectors(expr, k)
     return NCPoly(k, {
-        tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): c for (n, w), c in words.items()
+        tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): Fraction(c, den)
+        for n, vals in vectors.items() for w, c in enumerate(vals) if c
     })
 
 

@@ -409,17 +409,19 @@ def rs_coproduct_check(lam: Partition, i: int) -> bool:
     )
 
 
-def skew_kostka_check(shape: SkewShape, pairs) -> bool:
+def skew_kostka_check(shape: SkewShape, pairs, rs: NCSymExpr) -> bool:
     """Whether every skew Kostka number splits as the weighted sum of
     straight Kostka numbers over the (shape, coefficient) pairs of the
     Littlewood-Richardson expansion, as rs_lr_expand lists them. The skew
-    side is the shape's row of the branching rule (combinat.kostka_row);
-    the straight rows are the m-expansions of the classical Schur
-    functions s_nu, whose entries combinat.kostka counts one at a time."""
-    skew_row = kostka_row(shape)
+    side is read off rs, the shape's Rosas-Sagan function (rosas_sagan):
+    its coefficient of any set partition of type gamma, here the interval
+    one, is gamma! times K(shape, gamma). The straight rows are the
+    m-expansions of the classical Schur functions s_nu, whose entries
+    combinat.kostka counts one at a time."""
     rows = [(c, SymExpr.single("s", nu).to_m().terms) for nu, c in pairs]
     return all(
-        skew_row.get(gam, 0) == sum(c * row.get(gam, 0) for c, row in rows)
+        rs.terms.get(interval_partition(gam), 0)
+        == parts_factorial(gam) * sum(c * row.get(gam, 0) for c, row in rows)
         for gam in partitions(shape.size)
     )
 

@@ -126,6 +126,15 @@ def test_expand_to_words_refuses_too_many_words(capsys):
                    "24300000 words exceed the limit 1000000\n")
 
 
+def test_expand_to_words_refuses_a_coefficient_past_int64(capsys):
+    payload = '{"basis": "m", "terms": [{"index": "1", "coeff": "9223372036854775808"}]}'
+    code, out, err = run(capsys, "expand", "--expr", payload, "--vars", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("expand: word vectors at k = 1: a coefficient times the common "
+                   "denominator 1 leaves int64\n")
+
+
 def test_convert_round_trip(capsys):
     code, out, _ = run(capsys, "convert", "--basis", "h", "--index", "13/2", "--to", "s")
     assert code == 0

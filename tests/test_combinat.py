@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncschur import combinat
 from ncschur.combinat import (
     ParseError,
     SkewShape,
@@ -258,10 +259,64 @@ def leibniz_expansion(outer, inner=()):
         yield (-1) ** inversions, entries
 
 
+def cofactor_expansion(outer, inner=()):
+    """The Jacobi-Trudi determinant by cofactor expansion along the first
+    row, each minor on a set of remaining columns expanded once: the
+    terms in lexicographic column order, the sign of a cofactor (-1) to
+    the position of its column among the remaining ones. Unlike the
+    brute-force expansion, it reaches 12 rows."""
+    ell = len(outer)
+    a = [[outer[i] - (inner[j] if j < len(inner) else 0) - i + j for j in range(ell)]
+         for i in range(ell)]
+    minors = {(): [(1, ())]}
+
+    def minor(cols):
+        if cols not in minors:
+            i = ell - len(cols)
+            minors[cols] = [((-1) ** pos * sign, (a[i][j],) + entries)
+                            for pos, j in enumerate(cols) if a[i][j] >= 0
+                            for sign, entries in minor(cols[:pos] + cols[pos + 1:])]
+        return minors[cols]
+
+    return minor(tuple(range(ell)))
+
+
 def test_jacobi_trudi_terms_match_the_brute_force_leibniz_expansion():
     for shape in skew_shapes(6, 3):
         got = list(jacobi_trudi_terms(shape.outer, shape.inner))
         assert got == list(leibniz_expansion(shape.outer, shape.inner)), str(shape)
-    for n in range(7):
+    # nsym's immaculate elements: the rows' non-negative columns are not nested
+    for n in range(8):
         for alpha in compositions(n):
             assert list(jacobi_trudi_terms(alpha)) == list(leibniz_expansion(alpha)), alpha
+
+
+def test_jacobi_trudi_terms_match_the_cofactor_expansion():
+    for shape in skew_shapes(5, 3):
+        oracle = cofactor_expansion(shape.outer, shape.inner)
+        assert oracle == list(leibniz_expansion(shape.outer, shape.inner)), str(shape)
+    # up to 12 rows (1.1.1.1.1.1.1.1.1.1.1.1/1.1.1.1), past the brute force's reach
+    for shape in skew_shapes(8, 4):
+        got = jacobi_trudi_terms(shape.outer, shape.inner)
+        assert got == cofactor_expansion(shape.outer, shape.inner), str(shape)
+
+
+def test_the_determinant_walk_has_no_dead_ends(monkeypatch):
+    # every call of the bottom-up walk places a row on the way to a term:
+    # at most one call per row and term, and the first
+    calls = 0
+    walk = combinat._leibniz
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(combinat, "_leibniz", counted)
+    total = 0
+    for shape in skew_shapes(7, 3):
+        calls = 0
+        terms = jacobi_trudi_terms(shape.outer, shape.inner)
+        assert calls <= shape.rows * len(terms) + 1, str(shape)
+        total += len(terms)
+    assert total == 3868

@@ -2,9 +2,40 @@
 report it, run at the smallest size that does. A fault that no suite
 catches at any size is a layer that ``ncschur verify`` does not check."""
 
-from ncschur import lgv, schur, sym
+from array import array
+
+from ncschur import combinat, lgv, ncsym, schur, sym
 from ncschur.combinat import SkewShape
-from ncschur.verify import suite_lgv, suite_rslr
+from ncschur.verify import suite_lgv, suite_rslr, suite_rsrefines
+
+# ---------------------------------------------------------------------------
+# the Jacobi-Trudi determinant
+
+
+def walk_with_the_top_down_sign(rows, i, used, sign, entries, out):
+    """combinat._leibniz counting the placed columns right of the new one,
+    as a walk from the top row would, where the bottom-up walk counts
+    those left of it."""
+    if i < 0:
+        out.append((sign, entries))
+        return
+    for j, c in rows[i]:
+        if not used >> j & 1:
+            flip = (used >> (j + 1)).bit_count() & 1
+            walk_with_the_top_down_sign(rows, i - 1, used | 1 << j, -sign if flip else sign,
+                                        (c,) + entries, out)
+
+
+def test_rsrefines_catches_a_sign_flip_in_the_determinant_walk(monkeypatch):
+    monkeypatch.setattr(combinat, "_leibniz", walk_with_the_top_down_sign)
+    # smallest size: 0 cells, with inner shapes of size 2. The first shape
+    # with two rows is 1.1/1.1, whose one term, the identity, is placed in
+    # column 1, then column 0 with column 1 right of it: its sign turns -1
+    assert suite_rsrefines(max_size=0, inner_cap=1).ok
+    report = suite_rsrefines(max_size=0, inner_cap=2)
+    assert not report.ok
+    assert report.counterexample == "1.1/1.1"
+
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients and Kostka numbers
@@ -97,31 +128,58 @@ def meeting_column_of_strict_overlap(p, q):
     return None
 
 
+# suite_lgv checks the source paper's worked swap after its range, so a
+# fault that the range misses is reported as this counterexample
+WORKED_EXAMPLE_312456 = ("worked example swap 3.3.2/1.1: xi = 312456, not 342156\n"
+                         "-1: 2,2,3\n0: 3\n-3: 1,3")
+
+
 def test_lgv_catches_runs_that_touch_counted_as_apart(monkeypatch):
     monkeypatch.setattr(lgv, "last_meeting_column", meeting_column_of_strict_overlap)
     # smallest size: 2. On 1.1 at cap 1, with the start points swapped, the
     # first path's run in column -1 is the single point (-1, 1), where the
     # second path starts. The two paths meet there, but the faulty swap
-    # leaves the tuple fixed though its matching is not the identity
-    assert suite_lgv(max_size=1).ok
+    # leaves the tuple fixed though its matching is not the identity. At
+    # size 1 the range passes, and only the worked example fails
+    assert suite_lgv(max_size=1).counterexample == WORKED_EXAMPLE_312456
     report = suite_lgv(max_size=2)
     assert not report.ok
     assert report.counterexample == "fixed-point shape wrong: 1.1 k=1\n-2: 1,1\n-1: "
 
 
-def test_swap_at_the_first_meeting_column_is_caught_only_by_the_worked_example(monkeypatch):
+def test_lgv_catches_a_swap_at_the_first_meeting_column(monkeypatch):
     monkeypatch.setattr(lgv, "last_meeting_column", first_meeting_column)
     # exchanging the steps left of the first meeting column is a
     # sign-reversing involution too, with the same fixed points and
     # height-preserving labels: it moves 162 of the 6086 swaps of the
-    # default range, and suite_lgv passes at its defaults (and at size 5
+    # default range, and the range passes at its defaults (and at size 5
     # with cap 3 or size 4 with cap 5, inner shapes of size <= 3). Only the
-    # source paper's worked example tells the two swaps apart
-    assert suite_lgv().ok
-    P = lgv.path_tuple(
-        SkewShape((3, 3, 2), (1, 1)),
-        (2, 1, 3),
-        [lgv.path(-1, (2, 2, 3)), lgv.path(0, (3,)), lgv.path(-3, (1, 3))],
-    )
-    # the paper's swap exchanges labels by 342156
-    assert lgv.lgv_swap(P)[1] == (3, 1, 2, 4, 5, 6)
+    # source paper's worked example, which the suite checks after its
+    # range, tells the two swaps apart
+    report = suite_lgv()
+    assert not report.ok
+    assert report.counterexample == WORKED_EXAMPLE_312456
+
+
+# ---------------------------------------------------------------------------
+# word expansion
+
+
+def test_lgv_catches_a_wrong_h_weight_through_the_integer_bridge(monkeypatch):
+    good = ncsym._h_weights
+
+    def wrong(size, k):
+        vals = good(size, k)
+        if (size, k) == (2, 2):
+            # the word x1 x2 in a block of two letters: weight 1, here 2
+            vals = array("q", vals)
+            vals[1] += 1
+        return vals
+
+    monkeypatch.setattr(ncsym, "_h_weights", wrong)
+    # smallest size: 2, the first with a block of two letters; at k = 1 the
+    # block's only word x1 x1 keeps its weight 2
+    assert suite_lgv(max_size=1).ok
+    report = suite_lgv(max_size=2)
+    assert not report.ok
+    assert report.counterexample == "word bridge fails: 2 k=2"

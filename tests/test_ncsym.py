@@ -317,6 +317,49 @@ def test_expanders_key_words_by_base_k_integers():
                         assert expansion == array("q", [1])
 
 
+def naive_vectors(terms: dict, basis: str, k: int) -> dict:
+    """Per degree, the naive expansion of the terms as a list of Fraction
+    word coefficients in the lexicographic order of {1..k}^n."""
+    out = {}
+    for n in sorted({sp_size(pi) for pi in terms}):
+        poly = NCPoly.zero(k)
+        for pi, c in terms.items():
+            if sp_size(pi) == n:
+                poly = poly + naive_expand(basis, pi, k).scale(c)
+        out[n] = [poly.terms.get(w, 0) for w in itertools.product(range(1, k + 1), repeat=n)]
+    return out
+
+
+def test_word_vectors_match_the_naive_expansion():
+    # one array("q") per degree over one common denominator; the sums mix
+    # degrees, coefficients that differ and coefficients that repeat
+    cycle = [Fraction(1, 2), Fraction(-2, 3), Fraction(1, 2), Fraction(3)]
+    for k in range(1, 4):
+        for basis in "mpeh":
+            exprs = [{pi: Fraction(1)} for n in range(5) for pi in set_partitions(n)]
+            exprs.append({pi: cycle[i % 4] for i, pi in enumerate(
+                pi for n in range(1, 5) for pi in set_partitions(n))})
+            for terms in exprs:
+                vectors, den = ncsym.word_vectors(NCSymExpr(basis, terms), k)
+                assert den == math.lcm(*(c.denominator for c in terms.values()))
+                assert all(type(v) is array and v.typecode == "q" for v in vectors.values())
+                expected = {n: [den * c for c in vals]
+                            for n, vals in naive_vectors(terms, basis, k).items()}
+                assert {n: v.tolist() for n, v in vectors.items()} == expected, (basis, terms, k)
+
+
+def test_word_vectors_raise_past_int64():
+    top = 2**63 - 1
+    assert ncsym.word_vectors(single("m", "1").scale(top), 1) == ({1: array("q", [top])}, 1)
+    with pytest.raises(OverflowError, match="leaves int64"):
+        ncsym.word_vectors(single("m", "1").scale(top + 1), 1)
+    # each term's scaled entry fits; their sum, h[12] + h[1/2] = 3 at k = 1, does not
+    both = NCSymExpr("h", {parse_set_partition("12"): 2**62, parse_set_partition("1/2"): 2**62})
+    with pytest.raises(OverflowError, match="leaves int64"):
+        ncsym.word_vectors(both, 1)
+    assert ncsym.word_vectors(both.scale(Fraction(1, 2)), 1) == ({2: array("q", [3 * 2**61])}, 1)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_h_words_match_the_words_of_their_monomial_expansion(k):
     # h multiplies one pool per block, three nontrivial and crossing for

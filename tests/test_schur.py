@@ -357,7 +357,7 @@ def test_rs_lr_expand_lists_each_nonzero_lr_coefficient_in_partition_order():
 
 def test_skew_kostka_identity():
     for shape in (skew((3, 2), (1,)), skew((2, 2, 1), (1,))):
-        assert skew_kostka_check(shape, rs_lr_expand(shape))
+        assert skew_kostka_check(shape, rs_lr_expand(shape), rosas_sagan(shape))
 
 
 def test_rs_coproduct():
