@@ -38,11 +38,16 @@ PLAIN_ONLY = ("lr", "kostka", "specht-rank", "lgv-check")
 
 
 def _index_expr(args) -> NCSymExpr:
-    if getattr(args, "expr", None):
+    if args.expr is not None:
+        given = [opt for opt, value in (("--index", args.index), ("--basis", args.basis))
+                 if value is not None]
+        if given:
+            raise ValueError(f"{args.command}: --expr cannot be combined with "
+                             f"{' or '.join(given)}")
         return NCSymExpr.from_json(args.expr)
     if args.index is None:
         raise ValueError(f"{args.command}: needs --index or --expr")
-    return NCSymExpr.single(args.basis, parse_set_partition(args.index))
+    return NCSymExpr.single(args.basis or "h", parse_set_partition(args.index))
 
 
 def _emit(args, expr) -> None:
@@ -204,9 +209,10 @@ def cmd_verify(args) -> int:
 
 
 def _add_expr_args(p: argparse.ArgumentParser):
-    p.add_argument("--basis", default="h", choices=["m", "p", "e", "h", "s", "st"])
+    p.add_argument("--basis", choices=["m", "p", "e", "h", "s", "st"],
+                   help="basis of --index (default h)")
     p.add_argument("--index", help="set partition such as 13/2")
-    p.add_argument("--expr", help="JSON expression (overrides --basis/--index)")
+    p.add_argument("--expr", help="JSON expression (instead of --basis and --index)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -477,8 +477,13 @@ def _spread(vals: array, letters, target, k: int) -> array:
                     for j in range(t, width, chunk):
                         spread[j::width] = column
             else:
-                spread = array("q")
-                for i in range(0, len(vals), chunk):
+                # grown from its first piece, not from an empty array: when
+                # vals is one chunk that piece is the whole result, and an
+                # empty start would copy it once more and free the first
+                # copy, whose pages glibc hands back to the OS for the next
+                # vector of that size to fault in again
+                spread = vals[:chunk] * copies
+                for i in range(chunk, len(vals), chunk):
                     spread += vals[i:i + chunk] * copies
             vals = spread
         end = start - 1
@@ -494,8 +499,11 @@ def _outer(left: array, right: array) -> array:
     scaled = {c: long_ if c == 1 else _ZERO * len(long_) if c == 0
               else array("q", map(c.__mul__, long_)) for c in set(short)}
     if short is left:
-        product = array("q")
-        for c in left:
+        # grown from its first row, not from an empty array, as _spread
+        # grows its vectors (see there); that row is copied, since
+        # scaled[1] is long_ itself, a factor's own array
+        product = scaled[left[0]][:]
+        for c in left[1:]:
             product += scaled[c]
         return product
     product = _ZERO * (len(left) * width)

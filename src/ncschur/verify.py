@@ -101,8 +101,10 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
 
     The word-level slash check runs one basis at a time, h, then e, then
     p, so a counterexample is reported in that order within each degree.
-    Only the running basis's factor expansions are alive: about 3.2 MiB at
-    n = 6, against 9.7 MiB for all three bases at once."""
+    It holds the running basis's factor expansions of degree at most n - 2
+    (161 KiB at n = 6) and one factor X of degree n - 1 at a time, while
+    the taus X|{n} and {1}|X, which split at an end, are checked; all 52
+    factors of degree 5 held at once would take 3.1 MiB."""
     slash_size = min(max_size, 6)
     detail = (
         f"|lam|+|mu| <= {max_size}; slash/oracle pairs of total size <= {slash_size}"
@@ -127,12 +129,12 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
         # tau = slash(pi, sig) with |pi| = a exactly when no block of tau
         # has elements on both sides of a; each tau is expanded once per
         # basis and compared at every such split
-        taus = []
+        taus = {}
         for tau in set_partitions(n):
             splits = [a for a in range(1, n) if all(b[0] > a or b[-1] <= a for b in tau)]
             if splits:
-                taus.append((tau, splits))
-        factors = dict.fromkeys(pi for a in range(1, n) for pi in set_partitions(a))
+                taus[tau] = splits
+        factors = dict.fromkeys(pi for a in range(1, n - 1) for pi in set_partitions(a))
         for basis in ("h", "e", "p"):
             found = _slash_counterexample(n, basis, taus, factors)
             if found:
@@ -150,29 +152,51 @@ def suite_prod(max_size: int = 7) -> SuiteReport:
     return SuiteReport("prod", True, detail)
 
 
-def _slash_counterexample(n: int, basis: str, taus: list, factors: dict) -> str | None:
-    # the factors' expansions in this basis replace the last basis's one
-    # entry at a time, so one basis's table is alive and its freed arrays
-    # are reused rather than handed back to the OS and faulted in again
+def _slash_counterexample(n: int, basis: str, taus: dict, factors: dict) -> str | None:
+    # the factors of degree <= n - 2 replace the last basis's one entry at a
+    # time, so their freed arrays are reused rather than handed back to the
+    # OS and faulted in again; a factor X of degree n - 1 is alive only
+    # while the taus X|{n} and {1}|X, which split at an end, are checked
     expand = _EXPANDERS[basis]
     for pi in factors:
         factors[pi] = expand(pi, n)
-    for tau, splits in taus:
-        lhs = expand(tau, n)
-        for a in splits:
-            pi = tuple(b for b in tau if b[-1] <= a)
-            sig = tuple(tuple(x - a for x in b) for b in tau if b[0] > a)
-            # the slash-product rule at word level: the expansion of tau
-            # must equal the outer product of the factors' (the base-n words
-            # of lengths a and n - a concatenate to w1 * n**(n - a) + w2);
-            # the length guard comes first, as it catches a factor list of
-            # the wrong length, which the outer product would otherwise absorb
-            left, right = factors[pi], factors[sig]
-            lengths = (len(lhs), len(left), len(right))
-            if lengths != (n**n, n**a, n ** (n - a)) or not _is_outer_product(
-                    lhs, left, right):
-                return (f"{basis}: pi={format_set_partition(pi)} "
-                        f"sig={format_set_partition(sig)}")
+
+    def factor(pi):
+        if pi in factors:
+            return factors[pi]
+        # 1|mu|n splits at both ends: its other top factor is made on demand
+        return words if pi == top else expand(pi, n)
+
+    ends = {}  # tau -> its first failure, or None
+    for top in set_partitions(n - 1):
+        words = expand(top, n)
+        for tau in ((*top, (n,)), ((1,), *(tuple(x + 1 for x in b) for b in top))):
+            if tau not in ends:
+                ends[tau] = _first_slash_fault(n, basis, tau, taus[tau], factor)
+        del words
+    for tau, splits in taus.items():
+        found = ends[tau] if tau in ends else _first_slash_fault(
+            n, basis, tau, splits, factors.__getitem__)
+        if found:
+            return found
+    return None
+
+
+def _first_slash_fault(n: int, basis: str, tau, splits: list, factor) -> str | None:
+    lhs = _EXPANDERS[basis](tau, n)
+    for a in splits:
+        pi = tuple(b for b in tau if b[-1] <= a)
+        sig = tuple(tuple(x - a for x in b) for b in tau if b[0] > a)
+        # the slash-product rule at word level: the expansion of tau
+        # must equal the outer product of the factors' (the base-n words
+        # of lengths a and n - a concatenate to w1 * n**(n - a) + w2);
+        # the length guard comes first, as it catches a factor list of
+        # the wrong length, which the outer product would otherwise absorb
+        left, right = factor(pi), factor(sig)
+        lengths = (len(lhs), len(left), len(right))
+        if lengths != (n**n, n**a, n ** (n - a)) or not _is_outer_product(lhs, left, right):
+            return (f"{basis}: pi={format_set_partition(pi)} "
+                    f"sig={format_set_partition(sig)}")
     return None
 
 

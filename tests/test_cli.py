@@ -84,6 +84,25 @@ def test_an_expression_command_without_an_index_is_a_usage_error(capsys, argv):
     assert argv[0] in err and "--index" in err and "--expr" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("expand", ()),
+    ("convert", ("--to", "m")),
+    ("rho", ()),
+    ("omega", ()),
+    ("act", ("--delta", "12")),
+])
+@pytest.mark.parametrize("option", [("--index", "12"), ("--basis", "h")])
+def test_expr_with_index_or_basis_is_a_usage_error(capsys, command, extra, option):
+    # --expr names the whole expression, so an --index or --basis beside it
+    # would be ignored; the explicit default h is refused too
+    expr = '{"algebra": "ncsym", "basis": "p", "terms": [{"index": "12", "coeff": "1"}]}'
+    code, err = usage_error(capsys, command, *extra, "--expr", expr, *option)
+    assert code == 2
+    assert command in err and "--expr" in err and option[0] in err
+    code, out, _ = run(capsys, command, *extra, "--expr", expr)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("argv", [
     ("lr", "--shape", "2.2/1"),
     ("kostka", "--shape", "2.1", "--content", "1.1.1"),
