@@ -146,9 +146,10 @@ def cmd_rs(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    from . import schur
+    from . import sym
 
-    for nu, c in schur.rs_lr_expand(parse_skew(args.shape)):
+    # the pairs of schur.rs_lr_expand, without compiling the Schur module
+    for nu, c in sym.lr_coefficients(parse_skew(args.shape)).items():
         print(f"{format_partition(nu)}\t{c}")
     return 0
 

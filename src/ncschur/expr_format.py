@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 
 def format_terms(basis: str, items, fmt_index) -> str:
@@ -34,6 +35,17 @@ def add_up(pairs) -> dict:
     for key, c in pairs:
         out[key] = out[key] + c if key in out else c
     return {key: c for key, c in out.items() if c}
+
+
+def integer_degrees(terms: dict, size):
+    """Per degree n, size(index) being an index's degree: n, its Fraction
+    terms times the lcm of their denominators, as ints, and that lcm."""
+    by_degree: dict[int, dict] = {}
+    for idx, c in terms.items():
+        by_degree.setdefault(size(idx), {})[idx] = c
+    for n, part in by_degree.items():
+        den = lcm(*(c.denominator for c in part.values()))
+        yield n, {idx: c.numerator * (den // c.denominator) for idx, c in part.items()}, den
 
 
 def back_substitute(rest: dict, order, column, fmt) -> dict:

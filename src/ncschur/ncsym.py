@@ -34,7 +34,7 @@ from .combinat import (
     sp_size,
     multiplicity_factorial,
 )
-from .expr_format import LinearCombination, add_up
+from .expr_format import LinearCombination, add_up, integer_degrees
 from .ncpoly import NCPoly
 from .sym import SymExpr
 
@@ -205,17 +205,6 @@ class _CodedLattice:
         return walk(len(self.blocks) - 1, [0], ())
 
 
-def _integer_degrees(terms: dict):
-    """Per degree n: n, its terms times the lcm of their denominators, and
-    that lcm."""
-    by_degree: dict[int, dict] = {}
-    for pi, c in terms.items():
-        by_degree.setdefault(sp_size(pi), {})[pi] = c
-    for n, part in by_degree.items():
-        den = math.lcm(*(c.denominator for c in part.values()))
-        yield n, {pi: c.numerator * (den // c.denominator) for pi, c in part.items()}, den
-
-
 def to_m(expr: NCSymExpr) -> NCSymExpr:
     """Exact monomial-basis expansion by the lattice rules (Rosas-Sagan):
     p_tau = sum over sigma >= tau of m_sigma, and h_pi = sum over tau <= pi
@@ -228,7 +217,7 @@ def to_m(expr: NCSymExpr) -> NCSymExpr:
     if expr.basis in ("s", "st"):
         return to_m(to_h_or_e(expr))
     out = {}
-    for n, ints, den in _integer_degrees(expr.terms):
+    for n, ints, den in integer_degrees(expr.terms, sp_size):
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
         lattice = _CodedLattice(n, [abs(v) for v in tops] if expr.basis == "h" else tops)
         p: dict[int, int] = {}
@@ -263,7 +252,7 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
     if target not in ("p", "e", "h"):
         raise ValueError(f"cannot convert into basis {target!r}")
     out = {}
-    for n, ints, den in _integer_degrees(expr.terms):
+    for n, ints, den in integer_degrees(expr.terms, sp_size):
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
         names, p = _names(n), {}
         top_of = {c: tops[len(c)] for c in names}

@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import itemgetter
 
 from .combinat import (
     Composition,
@@ -44,13 +45,13 @@ from .combinat import (
     shape_of,
     shifted_concat,
     skew,
+    sp_size,
     ssyt,
 )
-from .expr_format import add_up, back_substitute
+from .expr_format import add_up, back_substitute, integer_degrees
 from .ncpoly import NCPoly
 from .ncsym import (
     NCSymExpr,
-    _integer_degrees,
     basis_order,
     coproduct,
     delta_action,
@@ -65,15 +66,30 @@ from .sym import SymExpr, littlewood_richardson, lr_coefficients  # noqa: F401
 # ---------------------------------------------------------------------------
 # the determinant
 
+def _jacobi_trudi_counts(shape: SkewShape) -> dict[SetPartition, int]:
+    """The integer core of the determinant: per interval partition sigma,
+    the signed count of the Leibniz terms whose nonzero entries, in row
+    order, are the block sizes of sigma. Each such term is h_sigma over
+    lambda(sigma)!, so over the basis h_sigma / lambda(sigma)! the
+    determinant has these integer coefficients; keys come in the order of
+    their first term, and keys whose count is 0 are dropped."""
+    return add_up((interval_partition(tuple(c for c in entries if c)), sign)
+                  for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner))
+
+
+def _over_factorials(counts: dict) -> dict:
+    """Integer coefficients over h_sigma / lambda(sigma)! as Fraction
+    coefficients over h_sigma, in the same order."""
+    return {sig: Fraction(c, parts_factorial(map(len, sig))) for sig, c in counts.items()}
+
+
 def source_skew_schur(shape: SkewShape) -> NCSymExpr:
     """The source skew Schur function on a skew shape, in the h-basis: the
     noncommutative determinant with entries h on single intervals scaled by
-    reciprocal factorials, expanded in row order from the top."""
-    return NCSymExpr._trusted("h", add_up(
-        (interval_partition(tuple(c for c in entries if c)),
-         Fraction(sign, parts_factorial(entries)))
-        for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner)
-    ))
+    reciprocal factorials, expanded in row order from the top; each
+    coefficient is a signed count of terms (_jacobi_trudi_counts) over the
+    factorials of its block sizes."""
+    return NCSymExpr._trusted("h", _over_factorials(_jacobi_trudi_counts(shape)))
 
 
 def skew_schur_nc(delta: Perm, shape: SkewShape) -> NCSymExpr:
@@ -114,11 +130,14 @@ def tabloid_schur(t: YoungTableau) -> NCSymExpr:
 # ---------------------------------------------------------------------------
 # the Schur basis and its transition matrix
 
-def _schur_columns(scale=None):
+def _schur_columns(normalized: bool = False):
     """A call-local map from a set partition pi to the h-terms of
-    standard_schur(pi): the source function of pi's shape, made once per
-    shape (and passed through scale, if given), relabelled by the reading
-    word of delta_pi, the blocks of pi longest first, ties by least entry."""
+    standard_schur(pi): the integer core (_jacobi_trudi_counts) of pi's
+    shape, made once per shape, relabelled by the reading word of delta_pi,
+    the blocks of pi longest first, ties by least entry. Normalized, the
+    column holds those integers, its coefficients over the basis
+    h_sigma / lambda(sigma)! (relabelling keeps the shape of sigma);
+    otherwise the Fraction coefficients over h_sigma."""
     sources: dict[Partition, dict] = {}
 
     def column(pi: SetPartition) -> dict:
@@ -126,8 +145,8 @@ def _schur_columns(scale=None):
         lam = tuple(map(len, rows))
         base = sources.get(lam)
         if base is None:
-            base = source_skew_schur(SkewShape(lam, ())).terms
-            base = sources[lam] = scale(base) if scale else base
+            base = _jacobi_trudi_counts(SkewShape(lam, ()))
+            base = sources[lam] = base if normalized else _over_factorials(base)
         word = tuple(x for b in rows for x in b)
         # a permutation moves distinct set partitions to distinct ones
         return {relabel(word, sig): c for sig, c in base.items()}
@@ -135,14 +154,16 @@ def _schur_columns(scale=None):
     return column
 
 
-def _normalized(terms: dict) -> dict:
-    """Coefficients in the basis h_sigma / lambda(sigma)!: integers, as each
-    determinant term is sign / lambda(key)!; a non-integer is kept exact."""
-    out = {}
-    for sig, c in terms.items():
-        x = c * parts_factorial(shape_of(sig))
-        out[sig] = x.numerator if x.denominator == 1 else x
-    return out
+def _transition(n: int, normalized: bool):
+    # entry [row sigma][column pi]: the coefficient of sigma in pi's column
+    order = basis_order(n)
+    pos = {pi: i for i, pi in enumerate(order)}
+    mat = [[0 if normalized else Fraction(0)] * len(order) for _ in order]
+    column = _schur_columns(normalized)
+    for j, pi in enumerate(order):
+        for sig, c in column(pi).items():
+            mat[pos[sig]][j] = c
+    return mat
 
 
 @cache
@@ -150,42 +171,33 @@ def schur_transition(n: int):
     """The degree-n matrix writing each Schur basis element in the h-basis:
     entry [row sigma][column pi] is the coefficient of h_sigma in the Schur
     element on pi, in the fixed basis order."""
-    order = basis_order(n)
-    pos = {pi: i for i, pi in enumerate(order)}
-    mat = [[Fraction(0)] * len(order) for _ in order]
-    column = _schur_columns()
-    for j, pi in enumerate(order):
-        for sig, c in column(pi).items():
-            mat[pos[sig]][j] = c
-    return mat
+    return _transition(n, normalized=False)
 
 
 def normalized_schur_transition(n: int):
     """The transition matrix with each row scaled by the parts factorial of
-    its index shape; upper-unitriangular with determinant 1."""
-    order = basis_order(n)
-    mat = schur_transition(n)
-    return [
-        [parts_factorial(shape_of(sig)) * x for x in row]
-        for sig, row in zip(order, mat)
-    ]
+    its index shape; upper-unitriangular with determinant 1. Its entries
+    are ints, the signed Jacobi-Trudi counts of the Schur columns over the
+    basis h_sigma / lambda(sigma)!, filled in directly."""
+    return _transition(n, normalized=True)
 
 
 def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
     """Rewrite an h-basis expression in the Schur basis by back-substitution.
     In basis order the Schur element on pi is h_pi / lambda(pi)! plus
     h-terms on earlier indices (schur_transition is upper triangular). Over
-    the basis h_sigma / lambda(sigma)! its column is an integer vector with
-    a leading 1, so each degree is scaled once by the lcm of its
-    denominators and solved in integers by back_substitute, walking the
-    degree from its last index down: the remaining coefficient of
-    h_pi / lambda(pi)! is that of s_pi."""
+    the basis h_sigma / lambda(sigma)! its column is the integer vector of
+    signed Jacobi-Trudi counts, relabelled, with a leading 1. So each degree
+    is scaled once by the lcm of its denominators and solved in integers by
+    back_substitute, walking the degree from its last index down: the
+    remaining coefficient of h_pi / lambda(pi)! is that of s_pi. Only the
+    solution is turned back into Fractions, one per output term."""
     if expr.basis != "h":
         raise ValueError("h_to_schur needs an h-basis expression")
-    column = _schur_columns(_normalized)
+    column = _schur_columns(normalized=True)
     out: dict[SetPartition, Fraction] = {}
-    for n, ints, den in sorted(_integer_degrees(expr.terms), key=lambda d: d[0]):
-        rest = {pi: a * parts_factorial(shape_of(pi)) for pi, a in ints.items()}
+    for n, ints, den in sorted(integer_degrees(expr.terms, sp_size), key=itemgetter(0)):
+        rest = {pi: a * parts_factorial(map(len, pi)) for pi, a in ints.items()}
         solved = back_substitute(rest, reversed(basis_order(n)), column, format_set_partition)
         out.update((pi, Fraction(b, den)) for pi, b in solved.items())
     return NCSymExpr._trusted("s", out)

@@ -20,6 +20,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
+from operator import itemgetter
 
 from .combinat import (
     Partition,
@@ -34,7 +35,7 @@ from .combinat import (
     sort_to_partition,
     transpose,
 )
-from .expr_format import LinearCombination, add_up, back_substitute
+from .expr_format import LinearCombination, add_up, back_substitute, integer_degrees
 from .ncpoly import CPoly
 
 
@@ -70,32 +71,14 @@ class SymExpr(LinearCombination):
 # ---------------------------------------------------------------------------
 # monomial expansions
 
-def _takes(left: tuple[int, ...], parts: Partition):
-    """The distinct rearrangements of parts, padded with zeros to
-    len(left), that fit under left entry by entry: filled one position at
-    a time from the multiset of parts still left over."""
-    pool = Counter(parts + (0,) * (len(left) - len(parts)))
-
-    def fill(i: int):
-        if i == len(left):
-            yield ()
-            return
-        for v, c in pool.items():
-            if c and v <= left[i]:
-                pool[v] -= 1
-                yield from ((v,) + rest for rest in fill(i + 1))
-                pool[v] += 1
-
-    return fill(0) if len(parts) <= len(left) else iter(())
-
-
 @cache
-def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction]:
-    """Kostka numbers for s_lam; h/e/p_lam is the product over lam's parts
-    r of h_r = the sum of m_mu over mu |- r, e_r = m_(1^r) and p_r = m_(r)."""
+def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction | int]:
+    """The m-expansion of one basis element. For s_lam it holds the Kostka
+    numbers, as ints: they are m_to_s's integer columns. h/e/p_lam is the
+    product over lam's parts r of h_r = the sum of m_mu over mu |- r,
+    e_r = m_(1^r) and p_r = m_(r), with Fraction coefficients."""
     if basis == "s":
-        return {gam: Fraction(k) for gam in partitions(sum(lam))
-                if (k := kostka(SkewShape(lam, ()), gam))}
+        return {gam: k for gam in partitions(sum(lam)) if (k := kostka(SkewShape(lam, ()), gam))}
     gens = {"h": partitions, "e": lambda r: [(1,) * r], "p": lambda r: [(r,)]}
     return reduce(product, (SymExpr._trusted("m", dict.fromkeys(gens[basis](r), Fraction(1)))
                             for r in lam), SymExpr.one("m")).terms
@@ -120,10 +103,32 @@ def _m_times_m(mu: Partition, nu: Partition) -> dict[Partition, Fraction]:
     rearrangements a of mu under lam whose rest lam - a rearranges nu."""
     out = {}
     for lam in partitions(sum(mu) + sum(nu)):
-        if k := sum(sort_to_partition(x - y for x, y in zip(lam, a)) == nu
-                    for a in _takes(lam, mu)):
+        if len(mu) <= len(lam) and len(nu) <= len(lam) and (k := _split_count(lam, mu, nu)):
             out[lam] = Fraction(k)
     return out
+
+
+def _split_count(lam: Partition, mu: Partition, nu: Partition) -> int:
+    # backtracking over the positions of lam: position i takes a distinct
+    # value a_i <= lam_i from what is left of mu (padded with zeros to
+    # len(lam)) only if lam_i - a_i is left in nu's multiset, and takes both
+    left_mu = Counter(mu + (0,) * (len(lam) - len(mu)))
+    left_nu = Counter(nu + (0,) * (len(lam) - len(nu)))
+
+    def fill(i: int) -> int:
+        if i == len(lam):
+            return 1
+        top, total = lam[i], 0
+        for a, c in left_mu.items():
+            if c and a <= top and left_nu[top - a]:
+                left_mu[a] -= 1
+                left_nu[top - a] -= 1
+                total += fill(i + 1)
+                left_mu[a] += 1
+                left_nu[top - a] += 1
+        return total
+
+    return fill(0)
 
 
 def product(f: SymExpr, g: SymExpr) -> SymExpr:
@@ -163,15 +168,18 @@ def m_to_s(expr: SymExpr) -> SymExpr:
     strictly dominates (the Kostka matrix is unitriangular), and
     partitions(n) comes in lexicographically decreasing order, which
     extends dominance; so back_substitute walks it, and the remaining
-    coefficient of m_lam is the coefficient of s_lam."""
+    coefficient of m_lam is the coefficient of s_lam. The Kostka columns
+    are ints, so each degree is scaled once by the lcm of its denominators
+    and solved in integers; only the solution becomes Fractions, one per
+    output term."""
     if expr.basis != "m":
         raise ValueError("m_to_s needs a monomial-basis expression")
-    rest = dict(expr.terms)
     out: dict[Partition, Fraction] = {}
-    for n in sorted({sum(lam) for lam in rest}):
-        out.update(back_substitute(rest, partitions(n), lambda lam: _index_to_m("s", lam),
-                                   format_partition))
-    return SymExpr("s", out)
+    for n, ints, den in sorted(integer_degrees(expr.terms, sum), key=itemgetter(0)):
+        solved = back_substitute(ints, partitions(n), lambda lam: _index_to_m("s", lam),
+                                 format_partition)
+        out.update((lam, Fraction(b, den)) for lam, b in solved.items())
+    return SymExpr._trusted("s", out)
 
 
 def schur(lam: Partition) -> SymExpr:

@@ -51,6 +51,12 @@ def test_the_schur_basis_change_and_the_triangular_suite_run_no_dense_eliminatio
     assert "ncschur.ratlin" not in loaded
 
 
+def test_lr_does_not_load_the_schur_module():
+    loaded = fresh("import ncschur.cli as cli; cli.main(['lr', '--shape', '2.2/1']); " + LOADED)
+    assert "ncschur.sym" in loaded
+    assert "ncschur.schur" not in loaded
+
+
 def test_every_public_name_is_the_object_of_its_defining_module():
     names = fresh(
         "import importlib, json, ncschur\n"

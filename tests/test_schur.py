@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from ncschur.combinat import (
     SkewShape,
     YoungTableau,
+    delta_pi,
+    interval_partition,
+    jacobi_trudi_terms,
     parse_perm,
     parse_set_partition,
     partitions,
@@ -19,6 +22,7 @@ from ncschur.combinat import (
     syt_count,
     tableau,
 )
+from ncschur.expr_format import add_up
 from ncschur.ncsym import NCSymExpr, basis_order, delta_action, from_m, sp_sign, to_m
 from ncschur.schur import (
     family_rank,
@@ -121,6 +125,67 @@ def test_transition_matrix_triangular_with_unit_determinant():
         assert det == 1
 
 
+def fraction_source(shape):
+    """The determinant summed in Fractions, one sign / lambda! per Leibniz
+    term: the route the integer core replaced."""
+    return add_up((interval_partition(tuple(c for c in entries if c)),
+                   Fraction(sign, parts_factorial(entries)))
+                  for sign, entries in jacobi_trudi_terms(shape.outer, shape.inner))
+
+
+def fraction_column(pi):
+    """standard_schur(pi) from the Fraction determinant, by delta_action."""
+    source = NCSymExpr._trusted("h", fraction_source(skew(shape_of(pi))))
+    return delta_action(delta_pi(pi)[1], source).terms
+
+
+def test_the_integer_core_is_the_fraction_determinant_times_the_factorials():
+    import ncschur.schur as schur
+
+    for n in range(9):
+        for lam in partitions(n):
+            got = schur._jacobi_trudi_counts(skew(lam))
+            want = [(sig, c * parts_factorial(shape_of(sig)))
+                    for sig, c in fraction_source(skew(lam)).items()]
+            assert list(got.items()) == want, lam
+            assert all(type(c) is int for c in got.values())
+
+
+def test_source_skew_schur_keeps_the_fraction_determinant_order_and_types():
+    for shape in skew_shapes(7, 3):
+        got = source_skew_schur(shape).terms
+        assert list(got.items()) == list(fraction_source(shape).items()), str(shape)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_normalized_schur_columns_are_the_scaled_fraction_columns():
+    import ncschur.schur as schur
+
+    column = schur._schur_columns(normalized=True)
+    for n in range(7):
+        for pi in set_partitions(n):
+            got = column(pi)
+            want = {sig: c * parts_factorial(shape_of(sig)) for sig, c in fraction_column(pi).items()}
+            assert got == want, pi
+            assert all(type(c) is int for c in got.values())
+
+
+def test_transition_matrices_match_the_fraction_columns():
+    for n in range(1, 6):
+        order = basis_order(n)
+        pos = {pi: i for i, pi in enumerate(order)}
+        raw = [[Fraction(0)] * len(order) for _ in order]
+        for j, pi in enumerate(order):
+            for sig, c in fraction_column(pi).items():
+                raw[pos[sig]][j] = c
+        norm = [[parts_factorial(shape_of(sig)) * x for x in row] for sig, row in zip(order, raw)]
+        got = normalized_schur_transition(n)
+        assert got == norm
+        assert all(type(x) is int for row in got for x in row)
+        assert schur_transition(n) == raw
+        assert all(type(x) is Fraction for row in schur_transition(n) for x in row)
+
+
 def test_h_to_schur_example():
     got = h_to_schur(NCSymExpr.single("h", sp("13/2")))
     assert got == NCSymExpr(
@@ -131,18 +196,18 @@ def test_h_to_schur_example():
 def test_h_to_schur_rejects_a_bad_transition_column(monkeypatch):
     import ncschur.schur as schur
 
-    good = schur.source_skew_schur
+    good = schur._jacobi_trudi_counts
     h = NCSymExpr.single("h", sp("1/2"))
-    monkeypatch.setattr(schur, "source_skew_schur", lambda shape: good(shape).scale(2))
+    monkeypatch.setattr(schur, "_jacobi_trudi_counts",
+                        lambda shape: {sig: 2 * c for sig, c in good(shape).items()})
     with pytest.raises(ArithmeticError, match=r"^matrix not unitriangular: row 1/2, "
                        r"column 1/2 holds 2, not 1$"):
         h_to_schur(h)
     # s[12/3] picking up h[1/2/3], which comes after it in basis order
-    below = NCSymExpr.single("h", sp("1/2/3"))
     monkeypatch.setattr(
         schur,
-        "source_skew_schur",
-        lambda shape: good(shape) + below if shape == skew((2, 1)) else good(shape),
+        "_jacobi_trudi_counts",
+        lambda shape: {**good(shape), sp("1/2/3"): 1} if shape == skew((2, 1)) else good(shape),
     )
     with pytest.raises(ArithmeticError, match=r"^matrix not unitriangular: row 1/2/3, "
                        r"column 12/3 holds 1, not 0$"):
@@ -200,11 +265,13 @@ def test_h_to_schur_matches_the_oracle_on_mixed_degrees(terms):
 
 
 def counting_sources(monkeypatch):
+    """Record each shape whose Jacobi-Trudi terms are walked and counted."""
     import ncschur.schur as schur
 
     calls = []
-    good = schur.source_skew_schur
-    monkeypatch.setattr(schur, "source_skew_schur", lambda shape: calls.append(shape) or good(shape))
+    good = schur._jacobi_trudi_counts
+    monkeypatch.setattr(schur, "_jacobi_trudi_counts",
+                        lambda shape: calls.append(shape) or good(shape))
     return calls
 
 

@@ -1,9 +1,15 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncschur.combinat import partitions, skew
+from ncschur import sym
+from ncschur.combinat import format_partition, kostka, partitions, skew, sort_to_partition
+from ncschur.expr_format import back_substitute
 from ncschur.ncpoly import CPoly
 from ncschur.sym import (
     SymExpr,
@@ -186,3 +192,81 @@ def test_m_to_s_rejects_a_bad_kostka_row(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^matrix not unitriangular: row 2\.1, "
                        r"column 1\.1\.1 holds 1, not 0$"):
         m_to_s(SymExpr.single("m", (1, 1, 1)))
+
+
+def takes(left, parts):
+    """The distinct rearrangements of parts, padded with zeros to
+    len(left), that fit under left entry by entry: filled one position at
+    a time from the multiset of parts still left over."""
+    pool = Counter(parts + (0,) * (len(left) - len(parts)))
+
+    def fill(i):
+        if i == len(left):
+            yield ()
+            return
+        for v, c in pool.items():
+            if c and v <= left[i]:
+                pool[v] -= 1
+                yield from ((v,) + rest for rest in fill(i + 1))
+                pool[v] += 1
+
+    return fill(0) if len(parts) <= len(left) else iter(())
+
+
+def m_times_m_oracle(mu, nu):
+    """Every rearrangement of mu under lam, kept when lam - a sorts to nu."""
+    out = {}
+    for lam in partitions(sum(mu) + sum(nu)):
+        if k := sum(sort_to_partition(x - y for x, y in zip(lam, a)) == nu
+                    for a in takes(lam, mu)):
+            out[lam] = Fraction(k)
+    return out
+
+
+def test_m_times_m_matches_the_rearrangement_route():
+    pairs = [(mu, nu) for size in range(10) for a in range(size + 1)
+             for mu in partitions(a) for nu in partitions(size - a)]
+    for mu, nu in pairs:
+        got, want = sym._m_times_m(mu, nu), m_times_m_oracle(mu, nu)
+        assert list(got.items()) == list(want.items()), (mu, nu)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+@cache
+def kostka_column(lam):
+    return {gam: Fraction(k) for gam in partitions(sum(lam))
+            if (k := kostka(skew(lam), gam))}
+
+
+def fraction_m_to_s(expr):
+    """m_to_s solved in Fractions: back-substitution over Kostka columns
+    counted entry by entry, on the unscaled coefficients."""
+    rest, out = dict(expr.terms), {}
+    for n in sorted({sum(lam) for lam in rest}):
+        out.update(back_substitute(rest, partitions(n), kostka_column, format_partition))
+    return SymExpr("s", out)
+
+
+def same_terms(got, want):
+    """The same Fraction coefficients in the same order."""
+    return got.basis == want.basis and list(got.terms.items()) == list(want.terms.items()) and all(
+        type(c) is Fraction for c in got.terms.values()
+    )
+
+
+def test_m_to_s_matches_the_fraction_back_substitution():
+    for n in range(9):
+        for lam in partitions(n):
+            m = SymExpr.single("m", lam)
+            assert same_terms(m_to_s(m), fraction_m_to_s(m)), lam
+
+
+_m_indices = st.integers(min_value=0, max_value=6).flatmap(lambda n: st.sampled_from(list(partitions(n))))
+_m_coeffs = st.fractions(max_denominator=12, min_value=Fraction(-7), max_value=Fraction(7))
+
+
+@given(st.dictionaries(_m_indices, _m_coeffs, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_m_to_s_matches_the_fraction_route_on_mixed_degrees(terms):
+    m = SymExpr("m", terms)
+    assert same_terms(m_to_s(m), fraction_m_to_s(m))
