@@ -452,13 +452,11 @@ def column_stabilizer(t: YoungTableau) -> tuple[Perm, ...]:
     Requires a straight shape."""
     if not t.shape.is_straight():
         raise ValueError("column stabilizer needs a straight shape")
-    n = t.size
+    n, cols = t.size, column_sets(t)
     perms = []
-    for colperms in itertools.product(
-        *(itertools.permutations(col) for col in column_sets(t))
-    ):
+    for colperms in itertools.product(*map(itertools.permutations, cols)):
         delta = list(range(1, n + 1))
-        for col, image in zip(column_sets(t), colperms):
+        for col, image in zip(cols, colperms):
             for src, dst in zip(col, image):
                 delta[src - 1] = dst
         perms.append(tuple(delta))
@@ -485,11 +483,6 @@ class SemistandardTableau(NamedTuple):
 
 def ssyt(shape: SkewShape, max_entry: int) -> tuple[SemistandardTableau, ...]:
     """All semistandard tableaux of the given shape with entries <= max_entry."""
-    return _ssyt(shape, max_entry)
-
-
-@cache
-def _ssyt(shape: SkewShape, max_entry: int) -> tuple[SemistandardTableau, ...]:
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1")
     cells = shape.cells()
@@ -527,30 +520,16 @@ def kostka(shape: SkewShape, nu: Partition) -> int:
     the branching rule (Macdonald I.5): the entries equal to the last letter
     fill a horizontal strip lam/kappa, so K(lam/mu, nu) is the sum of
     K(kappa/mu, nu less its last part) over the kappa containing mu with
-    lam/kappa a horizontal strip of that size. The counts are kept for the
-    call by outer shape, whose size says how many parts of nu are left."""
+    lam/kappa a horizontal strip of that size (_branch)."""
     nu = check_partition(nu)
     if shape.size != sum(nu):
         return 0
-    inner, memo = [shape.inner_at(i) for i in range(shape.rows)], {}
-
-    def count(lam: Partition, k: int) -> int:
-        if k and lam not in memo:
-            # kappa_i runs between lam_(i+1) and lam_i (a horizontal strip), above inner_i
-            rows = [range(max(low, nxt), top + 1)
-                    for top, nxt, low in zip(lam, lam[1:] + (0,), inner)]
-            size = sum(lam) - nu[k - 1]
-            memo[lam] = sum(
-                count(kappa, k - 1) for kappa in itertools.product(*rows) if sum(kappa) == size
-            )
-        return memo[lam] if k else 1
-
-    return count(shape.outer, len(nu))
+    return _branch(shape.outer, nu, tuple(shape.inner_at(i) for i in range(shape.rows)), {})
 
 
 def kostka_row(shape: SkewShape) -> dict[Partition, int]:
     """Every nonzero Kostka number K(shape, nu), nu |- shape.size, in
-    partitions(n) order, from one pass of kostka's branching rule. The
+    partitions(n) order, from one pass of the branching rule (_branch). The
     counts are kept for the pass by outer shape and the parts of nu still
     to place, so the nu that share a prefix share its count."""
     inner = tuple(shape.inner_at(i) for i in range(shape.rows))

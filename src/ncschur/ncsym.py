@@ -290,9 +290,11 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
 def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:
     """Expand the Schur-type bases: "s" into the h-basis, "st" into the
     e-basis with the same coefficients."""
-    from .schur import _schur_columns
+    from .schur import _over_factorials, _schur_columns
 
-    return expr.map_terms(_schur_columns(), "h" if expr.basis == "s" else "e")
+    column = _schur_columns()
+    return expr.map_terms(lambda pi: _over_factorials(column(pi)),
+                          "h" if expr.basis == "s" else "e")
 
 
 def to_h(expr: NCSymExpr) -> NCSymExpr:
@@ -551,11 +553,10 @@ def _scatter(size: int, k: int, tuples, place) -> array:
 
 
 def _expand_m(pi: SetPartition, k: int) -> array:
-    # one joint pool: a digit per block, constant on it, distinct across blocks
+    # a digit per block, constant on it, distinct across blocks
     n = sp_size(pi)
     place = [sum(k ** (n - x) for x in b) for b in pi]
-    vals = _scatter(n, k, itertools.permutations(range(k), len(pi)), place)
-    return _words(n, k, [(range(1, n + 1), vals)])
+    return _scatter(n, k, itertools.permutations(range(k), len(pi)), place)
 
 
 def _p_weights(size: int, k: int) -> array:

@@ -7,7 +7,6 @@ variables and the forgetful map onto classical symmetric functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from .combinat import (
     Composition,
@@ -53,13 +52,11 @@ class NSymExpr(LinearCombination):
         return self.map_terms(ribbon_to_H if self.basis == "R" else immaculate_to_H, "H")
 
 
-@cache
 def ribbon_to_H(alpha: Composition) -> dict[Composition, Fraction]:
     """Expand a ribbon basis element over the (distinct) coarsenings of its index."""
     return {beta: Fraction((-1) ** (len(alpha) - len(beta))) for beta in coarsenings(alpha)}
 
 
-@cache
 def immaculate_to_H(alpha: Composition) -> dict[Composition, Fraction]:
     """Expand an immaculate basis element as the Jacobi-Trudi determinant
     on its index, with negative entries skipped and zero parts dropped."""

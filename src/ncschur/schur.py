@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from math import comb
 from operator import itemgetter
 
@@ -130,14 +129,13 @@ def tabloid_schur(t: YoungTableau) -> NCSymExpr:
 # ---------------------------------------------------------------------------
 # the Schur basis and its transition matrix
 
-def _schur_columns(normalized: bool = False):
-    """A call-local map from a set partition pi to the h-terms of
-    standard_schur(pi): the integer core (_jacobi_trudi_counts) of pi's
-    shape, made once per shape, relabelled by the reading word of delta_pi,
-    the blocks of pi longest first, ties by least entry. Normalized, the
-    column holds those integers, its coefficients over the basis
-    h_sigma / lambda(sigma)! (relabelling keeps the shape of sigma);
-    otherwise the Fraction coefficients over h_sigma."""
+def _schur_columns():
+    """A call-local map from a set partition pi to the integer h-terms of
+    standard_schur(pi) over the basis h_sigma / lambda(sigma)!: the integer
+    core (_jacobi_trudi_counts) of pi's shape, made once per shape,
+    relabelled by the reading word of delta_pi, the blocks of pi longest
+    first, ties by least entry (relabelling keeps the shape of sigma).
+    _over_factorials turns a column into Fraction coefficients over h_sigma."""
     sources: dict[Partition, dict] = {}
 
     def column(pi: SetPartition) -> dict:
@@ -145,8 +143,7 @@ def _schur_columns(normalized: bool = False):
         lam = tuple(map(len, rows))
         base = sources.get(lam)
         if base is None:
-            base = _jacobi_trudi_counts(SkewShape(lam, ()))
-            base = sources[lam] = base if normalized else _over_factorials(base)
+            base = sources[lam] = _jacobi_trudi_counts(SkewShape(lam, ()))
         word = tuple(x for b in rows for x in b)
         # a permutation moves distinct set partitions to distinct ones
         return {relabel(word, sig): c for sig, c in base.items()}
@@ -154,32 +151,28 @@ def _schur_columns(normalized: bool = False):
     return column
 
 
-def _transition(n: int, normalized: bool):
-    # entry [row sigma][column pi]: the coefficient of sigma in pi's column
+def normalized_schur_transition(n: int):
+    """The degree-n matrix writing each Schur basis element over the basis
+    h_sigma / lambda(sigma)!, in the fixed basis order: entry [row sigma]
+    [column pi] is the int signed Jacobi-Trudi count of sigma in pi's Schur
+    column (_schur_columns). It is upper-unitriangular with determinant 1."""
     order = basis_order(n)
     pos = {pi: i for i, pi in enumerate(order)}
-    mat = [[0 if normalized else Fraction(0)] * len(order) for _ in order]
-    column = _schur_columns(normalized)
+    mat = [[0] * len(order) for _ in order]
+    column = _schur_columns()
     for j, pi in enumerate(order):
         for sig, c in column(pi).items():
             mat[pos[sig]][j] = c
     return mat
 
 
-@cache
 def schur_transition(n: int):
     """The degree-n matrix writing each Schur basis element in the h-basis:
     entry [row sigma][column pi] is the coefficient of h_sigma in the Schur
-    element on pi, in the fixed basis order."""
-    return _transition(n, normalized=False)
-
-
-def normalized_schur_transition(n: int):
-    """The transition matrix with each row scaled by the parts factorial of
-    its index shape; upper-unitriangular with determinant 1. Its entries
-    are ints, the signed Jacobi-Trudi counts of the Schur columns over the
-    basis h_sigma / lambda(sigma)!, filled in directly."""
-    return _transition(n, normalized=True)
+    element on pi, in the fixed basis order; row sigma of
+    normalized_schur_transition over lambda(sigma)!."""
+    return [[Fraction(c, parts_factorial(map(len, sig))) for c in row]
+            for sig, row in zip(basis_order(n), normalized_schur_transition(n))]
 
 
 def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
@@ -194,7 +187,7 @@ def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
     solution is turned back into Fractions, one per output term."""
     if expr.basis != "h":
         raise ValueError("h_to_schur needs an h-basis expression")
-    column = _schur_columns(normalized=True)
+    column = _schur_columns()
     out: dict[SetPartition, Fraction] = {}
     for n, ints, den in sorted(integer_degrees(expr.terms, sp_size), key=itemgetter(0)):
         rest = {pi: a * parts_factorial(map(len, pi)) for pi, a in ints.items()}
@@ -262,7 +255,8 @@ def permuted_basis(delta: Perm, n: int) -> list[NCSymExpr]:
     """The family of the permutation acting on every degree-n Schur basis
     element, as h-basis expressions."""
     column = _schur_columns()
-    return [delta_action(delta, NCSymExpr._trusted("h", column(pi))) for pi in basis_order(n)]
+    return [delta_action(delta, NCSymExpr._trusted("h", _over_factorials(column(pi))))
+            for pi in basis_order(n)]
 
 
 def family_rank(family: list[NCSymExpr], n: int) -> int:
@@ -428,8 +422,8 @@ def skew_kostka_check(shape: SkewShape, pairs, rs: NCSymExpr) -> bool:
     side is read off rs, the shape's Rosas-Sagan function (rosas_sagan):
     its coefficient of any set partition of type gamma, here the interval
     one, is gamma! times K(shape, gamma). The straight rows are the
-    m-expansions of the classical Schur functions s_nu, whose entries
-    combinat.kostka counts one at a time."""
+    m-expansions of the classical Schur functions s_nu, each one
+    combinat.kostka_row pass over nu (sym._index_to_m)."""
     rows = [(c, SymExpr.single("s", nu).to_m().terms) for nu, c in pairs]
     return all(
         rs.terms.get(interval_partition(gam), 0)

@@ -6,9 +6,10 @@ Basis changes route through the monomial basis, where every structure
 constant is a count: the coefficient of m_lam in m_mu m_nu is the number of
 ways to split the exponent vector lam into rearrangements of mu and nu, and
 h/e/p_lam is a product of monomial functions. Schur functions expand by
-Kostka numbers. Littlewood-Richardson coefficients count the fillings of
-the skew shape whose reverse reading word is a lattice word (the
-Littlewood-Richardson rule); skew_schur(shape, "s"), the Jacobi-Trudi
+Kostka numbers, a whole row per shape from one branching-rule pass
+(combinat.kostka_row). Littlewood-Richardson coefficients count the
+fillings of the skew shape whose reverse reading word is a lattice word
+(the Littlewood-Richardson rule); skew_schur(shape, "s"), the Jacobi-Trudi
 determinant rewritten m -> s, is the independent route the tests compare
 them with. No result is computed with polynomial arithmetic; expand is the
 bridge to that oracle.
@@ -29,7 +30,7 @@ from .combinat import (
     contains,
     format_partition,
     jacobi_trudi_terms,
-    kostka,
+    kostka_row,
     parse_partition,
     partitions,
     sort_to_partition,
@@ -74,11 +75,13 @@ class SymExpr(LinearCombination):
 @cache
 def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction | int]:
     """The m-expansion of one basis element. For s_lam it holds the Kostka
-    numbers, as ints: they are m_to_s's integer columns. h/e/p_lam is the
-    product over lam's parts r of h_r = the sum of m_mu over mu |- r,
-    e_r = m_(1^r) and p_r = m_(r), with Fraction coefficients."""
+    numbers, as ints, from one kostka_row pass over lam: they are m_to_s's
+    integer columns and the straight rows of schur.skew_kostka_check.
+    h/e/p_lam is the product over lam's parts r of h_r = the sum of m_mu
+    over mu |- r, e_r = m_(1^r) and p_r = m_(r), with Fraction
+    coefficients."""
     if basis == "s":
-        return {gam: k for gam in partitions(sum(lam)) if (k := kostka(SkewShape(lam, ()), gam))}
+        return kostka_row(SkewShape(lam, ()))
     gens = {"h": partitions, "e": lambda r: [(1,) * r], "p": lambda r: [(r,)]}
     return reduce(product, (SymExpr._trusted("m", dict.fromkeys(gens[basis](r), Fraction(1)))
                             for r in lam), SymExpr.one("m")).terms
@@ -169,9 +172,9 @@ def m_to_s(expr: SymExpr) -> SymExpr:
     partitions(n) comes in lexicographically decreasing order, which
     extends dominance; so back_substitute walks it, and the remaining
     coefficient of m_lam is the coefficient of s_lam. The Kostka columns
-    are ints, so each degree is scaled once by the lcm of its denominators
-    and solved in integers; only the solution becomes Fractions, one per
-    output term."""
+    are ints, one kostka_row pass per shape (_index_to_m), so each degree
+    is scaled once by the lcm of its denominators and solved in integers;
+    only the solution becomes Fractions, one per output term."""
     if expr.basis != "m":
         raise ValueError("m_to_s needs a monomial-basis expression")
     out: dict[Partition, Fraction] = {}

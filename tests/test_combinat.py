@@ -136,12 +136,20 @@ def test_kostka_values():
 
 
 def test_kostka_matches_the_tableau_enumeration():
-    # the branching rule against counting the enumerated tableaux by content
+    # the branching rule, in kostka and in kostka_row, against counting the
+    # enumerated tableaux by content: the one oracle sharing no code with
+    # _branch. ssyt keeps no table, so each (shape, k) is enumerated once here
+    tableaux = {}
     for shape in skew_shapes(6, 3):
+        row = {}
         for nu in partitions(shape.size):
-            tableaux = ssyt(shape, len(nu)) if nu else ()
-            want = sum(1 for t in tableaux if t.weight() == nu) if nu else 1
+            if nu and (shape, len(nu)) not in tableaux:
+                tableaux[shape, len(nu)] = ssyt(shape, len(nu))
+            want = sum(1 for t in tableaux[shape, len(nu)] if t.weight() == nu) if nu else 1
             assert kostka(shape, nu) == want, (shape, nu)
+            if want:
+                row[nu] = want
+        assert list(kostka_row(shape).items()) == list(row.items()), str(shape)
     assert kostka(skew((2, 1)), (2,)) == 0
     assert kostka(skew((1,)), (1, 1)) == 0
 

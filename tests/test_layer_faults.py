@@ -5,7 +5,7 @@ catches at any size is a layer that ``ncschur verify`` does not check."""
 from array import array
 
 from ncschur import combinat, lgv, ncsym, schur, sym
-from ncschur.combinat import SkewShape
+from ncschur.combinat import SemistandardTableau, SkewShape
 from ncschur.verify import suite_lgv, suite_rslr, suite_rsrefines
 
 # ---------------------------------------------------------------------------
@@ -82,8 +82,10 @@ def test_rslr_catches_a_raised_kostka_row_entry(monkeypatch):
 
     monkeypatch.setattr(schur, "kostka_row", raised)
     # smallest size: 3, the size of 2.1. Both sides of the Rosas-Sagan
-    # expansion of 2.1 read the raised row, so only the Kostka split,
-    # whose straight rows come from combinat.kostka, tells them apart
+    # expansion of 2.1 read the raised row, so only the Kostka split, whose
+    # straight rows are the m-expansions of the Schur functions
+    # (sym._index_to_m, through sym's own unpatched kostka_row), tells them
+    # apart
     assert suite_rslr(max_size=2, inner_cap=3).ok
     report = suite_rslr(max_size=3, inner_cap=3)
     assert not report.ok
@@ -159,6 +161,24 @@ def test_lgv_catches_a_swap_at_the_first_meeting_column(monkeypatch):
     report = suite_lgv()
     assert not report.ok
     assert report.counterexample == WORKED_EXAMPLE_312456
+
+
+def tableau_with_reversed_rows(P):
+    """lgv.tuple_to_tableau reading each path's east-step heights from its
+    last step to its first."""
+    return SemistandardTableau(P.shape, tuple(p.heights[::-1] for p in P.paths))
+
+
+def test_lgv_reports_fixed_points_that_miss_the_fillings(monkeypatch):
+    monkeypatch.setattr(lgv, "tuple_to_tableau", tableau_with_reversed_rows)
+    # smallest size: 2, cap 2, no inner shape. A reversed row differs from
+    # the row only when it holds two distinct entries: the row 1,2 of
+    # shape 2 reads as 2,1, which is no filling
+    assert suite_lgv(max_size=1, height_cap=2, inner_cap=0).ok
+    assert suite_lgv(max_size=2, height_cap=1, inner_cap=0).ok
+    report = suite_lgv(max_size=2, height_cap=2, inner_cap=0)
+    assert not report.ok
+    assert report.counterexample == "fixed points do not match fillings: 2 k=2"
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_source_skew_schur_keeps_the_fraction_determinant_order_and_types():
 def test_normalized_schur_columns_are_the_scaled_fraction_columns():
     import ncschur.schur as schur
 
-    column = schur._schur_columns(normalized=True)
+    column = schur._schur_columns()
     for n in range(7):
         for pi in set_partitions(n):
             got = column(pi)
@@ -283,11 +283,7 @@ def test_h_to_schur_builds_one_source_function_per_shape(monkeypatch):
 
 def test_a_cold_schur_transition_builds_one_source_function_per_shape(monkeypatch):
     calls = counting_sources(monkeypatch)
-    schur_transition.cache_clear()
-    try:
-        schur_transition(5)
-    finally:
-        schur_transition.cache_clear()
+    schur_transition(5)
     assert len(calls) == len(set(calls)) == 7  # the partitions of 5
 
 
