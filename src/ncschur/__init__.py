@@ -5,8 +5,10 @@ lattice-path swap, and the compositions-indexed algebra with its embedding
 and forgetful maps. All arithmetic is exact over the rationals.
 
 The public names below load their defining module on first access (PEP
-562), so ``import ncschur`` alone, or a CLI command, compiles only the
-modules it uses.
+562), so ``import ncschur`` alone compiles no submodule. A CLI command
+compiles ``cli``, ``ncsym``, ``sym``, ``combinat`` and ``expr_format``, and
+past those only the modules it runs: ``ncpoly``, the polynomial oracle,
+only for ``expand --vars``.
 """
 
 import importlib

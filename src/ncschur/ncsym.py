@@ -35,7 +35,6 @@ from .combinat import (
     multiplicity_factorial,
 )
 from .expr_format import LinearCombination, add_up, integer_degrees
-from .ncpoly import NCPoly
 from .sym import SymExpr
 
 # expansion into words makes an array("q") of k^n coefficients per index, 8
@@ -634,6 +633,8 @@ def oracle_expand(expr: NCSymExpr, k: int) -> NCPoly:
     """Exact truncated expansion into words over x_1..x_k: the integer word
     vectors of word_vectors, whose indices name a word only with its
     length, decoded here with their common denominator."""
+    from .ncpoly import NCPoly
+
     vectors, den = word_vectors(expr, k)
     return NCPoly(k, {
         tuple(w // k ** (n - x) % k + 1 for x in range(1, n + 1)): Fraction(c, den)
@@ -645,6 +646,8 @@ def naive_expand(basis: str, pi: SetPartition, k: int) -> NCPoly:
     """Independent brute-force expansion straight from the tuple-pattern
     definitions: every tuple in {1..k}^n is tested against the membership
     condition. The h-basis goes through its defining monomial expansion."""
+    from .ncpoly import NCPoly
+
     n = sp_size(pi)
     _check_size(basis, pi, k)
     if basis == "h":

@@ -35,7 +35,6 @@ from .combinat import (
     parts_factorial,
     partitions,
     perm_sign,
-    permute_set_partition,
     permutations,
     relabel,
     ribbon_shape,
@@ -46,9 +45,9 @@ from .combinat import (
     skew,
     sp_size,
     ssyt,
+    tableau,
 )
 from .expr_format import add_up, back_substitute, integer_degrees
-from .ncpoly import NCPoly
 from .ncsym import (
     NCSymExpr,
     basis_order,
@@ -118,9 +117,11 @@ def tabloid_schur(t: YoungTableau) -> NCSymExpr:
     of the reading-word actions on the source function of the shape."""
     if not t.shape.is_straight():
         raise ValueError("tabloid Schur functions need a straight shape")
+    # checked once here, so every reading word is a permutation of the size
+    tableau(t.shape, t.rows)
     base = source_skew_schur(t.shape).terms
     return NCSymExpr._trusted("h", add_up(
-        (permute_set_partition(word, pi), c)
+        (relabel(word, pi), c)
         for word in map(YoungTableau.reading_word, row_equivalence_class(t))
         for pi, c in base.items()
     ))
@@ -279,80 +280,70 @@ def family_rank(family: list[NCSymExpr], n: int) -> int:
 def specht_vector(t: YoungTableau) -> NCSymExpr:
     """The signed column-stabilizer sum applied to the tabloid Schur
     function of t."""
-    # a term with two entries of one column in a block is fixed by their
-    # transposition, which is odd, so its signed sum over the stabilizer is 0
+    # a term is fixed by the transposition of two entries of one column when
+    # they share a block or are both singletons; that transposition is odd,
+    # so the term's signed sum over the stabilizer is 0, and with no term
+    # left the stabilizer is not walked
     cols = column_sets(t)
     base = {}
     for pi, c in tabloid_schur(t).terms.items():
-        where = {x: i for i, b in enumerate(pi) for x in b}
+        where = {x: b if len(b) > 1 else () for b in pi for x in b}
         if all(len({where[x] for x in col}) == len(col) for col in cols):
             base[pi] = c
     return NCSymExpr._trusted("h", add_up(
-        (permute_set_partition(delta, pi), sign * c)
-        for delta in column_stabilizer(t) for sign in [perm_sign(delta)]
+        (relabel(delta, pi), sign * c)
+        for delta in (column_stabilizer(t) if base else ()) for sign in [perm_sign(delta)]
         for pi, c in base.items()
     ))
 
 
+def _standard_words(lam: Partition):
+    """The reading words of the standard tableaux of shape lam: n fills an
+    outer corner, the end of its row, and the other entries are a standard
+    tableau of lam less that corner."""
+    n, end = sum(lam), 0
+    if not n:
+        yield ()
+    for i, p in enumerate(lam):
+        end += p
+        if i + 1 == len(lam) or lam[i + 1] < p:
+            less = lam[:i] + ((p - 1,) if p > 1 else ()) + lam[i + 1:]
+            for word in _standard_words(less):
+                yield word[:end - 1] + (n,) + word[end - 1:]
+
+
 def specht_rank(lam: Partition) -> int:
-    """Dimension of the span of the Specht vectors of shape lam, as an
-    orbit closure. Relabelling commutes with the construction, w applied to
-    the Specht vector of t is the Specht vector of w.t (both the row class
-    and the column stabilizer move with the entries), and every
-    column-increasing filling is w.t0 for the row-reading filling t0. So
-    the span is the smallest subspace that holds the vector of t0 and is
-    closed under the adjacent transpositions s_1..s_(n-1). It is built as
-    a reduced echelon basis of h-coordinate rows, pivots taken in
-    basis_order(n): each vector that enlarges the span is moved by every
-    s_i, and a moved vector is kept if it does not reduce to 0."""
+    """Dimension of the span of the Specht vectors of shape lam. The map phi
+    from a tabloid to its tabloid Schur function is linear and commutes
+    with relabelling, and the Specht vector of t is phi(e_t), the image of
+    the polytabloid of t. The polytabloids of the standard tableaux span
+    all of them (Garnir relations; James 1978, Sagan 2001 section 2.5), so
+    the Specht vectors of the standard tableaux span all Specht vectors. A
+    standard tableau is w.t0 for its reading word w and the row-reading
+    filling t0, and w applied to the Specht vector v0 of t0 is the vector
+    of w.t0 (the row class and the column stabilizer move with the
+    entries). So the rank is that of the f^lam vectors w.v0, found by one
+    forward elimination of exact h-coordinate rows, pivots in basis_order."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    t0 = YoungTableau(SkewShape(lam, ()), interval_partition(lam))
-    pos = {pi: i for i, pi in enumerate(basis_order(n))}
-    swaps = [
-        tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1)) for i in range(1, n)
-    ]
-    rows: dict[SetPartition, dict[SetPartition, Fraction]] = {}  # pivot -> row
-
-    def add(vec: NCSymExpr) -> bool:
-        # reduce by the basis, whose rows vanish at every other pivot, so
-        # one subtraction per pivot present clears it
-        terms = dict(vec.terms)
-        for pivot in [pi for pi in terms if pi in rows]:
-            c = terms[pivot]
-            for pi, x in rows[pivot].items():
-                terms[pi] = terms.get(pi, 0) - c * x
+    v0 = specht_vector(YoungTableau(SkewShape(lam, ()), interval_partition(lam))).terms
+    if not v0:
+        return 0
+    pos = {pi: i for i, pi in enumerate(basis_order(sum(lam)))}
+    rows: dict[SetPartition, dict[SetPartition, Fraction]] = {}  # pivot -> row, 1 at the pivot
+    for word in _standard_words(lam):
+        # a permutation moves distinct set partitions to distinct ones
+        terms = {relabel(word, pi): c for pi, c in v0.items()}
+        # a row has no term before its pivot, so clearing the pivots in
+        # basis order never brings back one already cleared
+        for pivot in sorted(rows, key=pos.__getitem__):
+            if c := terms.get(pivot):
+                for pi, x in rows[pivot].items():
+                    terms[pi] = terms.get(pi, 0) - c * x
         terms = {pi: c for pi, c in terms.items() if c}
-        if not terms:
-            return False
-        pivot = min(terms, key=pos.__getitem__)
-        inv = 1 / terms[pivot]
-        row = {pi: c * inv for pi, c in terms.items()}
-        for other in rows.values():
-            c = other.get(pivot)
-            if c:
-                for pi, x in row.items():
-                    y = other.get(pi, 0) - c * x
-                    if y:
-                        other[pi] = y
-                    else:
-                        del other[pi]
-        rows[pivot] = row
-        return True
-
-    # the queue holds the Specht vectors w.v0 themselves, not their reduced
-    # rows: they are as sparse as v0, the rows fill in, and the accepted
-    # ones span what the rows span
-    v0 = specht_vector(t0)
-    queue = [v0] if add(v0) else []
-    while queue:
-        vec = queue.pop()
-        for s in swaps:
-            moved = delta_action(s, vec)
-            if add(moved):
-                queue.append(moved)
+        if terms:
+            pivot = min(terms, key=pos.__getitem__)
+            inv = 1 / terms[pivot]
+            rows[pivot] = {pi: c * inv for pi, c in terms.items()}
     return len(rows)
 
 
@@ -373,6 +364,8 @@ def rosas_sagan_oracle(shape: SkewShape, k: int) -> NCPoly:
     """Independent word expansion straight from the defining double sum:
     over all orderings of the boxes (row reading order composed with a
     permutation) and all semistandard fillings with entries at most k."""
+    from .ncpoly import NCPoly
+
     n = shape.size
     contents = [t.content_word() for t in ssyt(shape, k)]
     # a Counter tallies the words, so this shares no code with add_up

@@ -37,7 +37,6 @@ from .combinat import (
     transpose,
 )
 from .expr_format import LinearCombination, add_up, back_substitute, integer_degrees
-from .ncpoly import CPoly
 
 
 class SymExpr(LinearCombination):
@@ -90,6 +89,8 @@ def _index_to_m(basis: str, lam: Partition) -> dict[Partition, Fraction | int]:
 def expand(expr: SymExpr, k: int) -> CPoly:
     """Exact truncation of the expression to k commuting variables: m_lam
     is the sum of the distinct rearrangements of lam padded to length k."""
+    from .ncpoly import CPoly
+
     return CPoly(k, {
         expo: coeff
         for lam, coeff in expr.to_m().terms.items() if len(lam) <= k

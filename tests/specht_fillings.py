@@ -1,7 +1,7 @@
 """The Specht rank by direct construction: the Specht vector of every
 column-increasing filling of the shape, found among all n! fillings, and
-the rank of that family. It shares no code with the orbit closure in
-schur.specht_rank and serves as its oracle."""
+the rank of that family. It shares no code with the elimination over the
+standard tableaux in schur.specht_rank and serves as its oracle."""
 
 import itertools
 

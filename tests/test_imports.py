@@ -37,8 +37,19 @@ def test_convert_loads_only_the_modules_it_runs():
         + LOADED
     )
     assert "ncschur.ncsym" in loaded
-    for name in ("schur", "ratlin", "nsym", "lgv", "verify"):
+    for name in ("schur", "ratlin", "nsym", "lgv", "verify", "ncpoly"):
         assert f"ncschur.{name}" not in loaded
+
+
+@pytest.mark.parametrize("argv, oracle", [
+    (["schur", "--pi", "13/2"], False),
+    (["lr", "--shape", "2.2/1"], False),
+    (["verify", "specht"], False),
+    (["expand", "--basis", "m", "--index", "13/2", "--vars", "2"], True),
+])
+def test_only_expand_with_vars_loads_the_polynomial_oracle(argv, oracle):
+    loaded = fresh(f"import ncschur.cli as cli; cli.main({argv!r}); " + LOADED)
+    assert ("ncschur.ncpoly" in loaded) == oracle
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ from array import array
 
 from ncschur import combinat, lgv, ncsym, schur, sym
 from ncschur.combinat import SemistandardTableau, SkewShape
-from ncschur.verify import suite_lgv, suite_rslr, suite_rsrefines
+from ncschur.verify import suite_lgv, suite_rslr, suite_rsrefines, suite_specht
 
 # ---------------------------------------------------------------------------
 # the Jacobi-Trudi determinant
@@ -203,3 +203,25 @@ def test_lgv_catches_a_wrong_h_weight_through_the_integer_bridge(monkeypatch):
     report = suite_lgv(max_size=2)
     assert not report.ok
     assert report.counterexample == "word bridge fails: 2 k=2"
+
+
+# ---------------------------------------------------------------------------
+# Specht ranks
+
+
+def test_specht_catches_a_standard_tableau_dropped_from_one_shape(monkeypatch):
+    good = schur._standard_words
+
+    def one_short(lam):
+        words = list(good(lam))
+        return words[:-1] if lam == (3, 2) else words
+
+    # _standard_words recurses through its module-global name, so the
+    # patch reaches every level; dropping a word at each one would leave no
+    # word and every rank 0, so only 3.2 loses one, its last
+    monkeypatch.setattr(schur, "_standard_words", one_short)
+    # smallest size: 5. The other four vectors of 3.2 stay independent
+    assert suite_specht(max_n=4).ok
+    report = suite_specht()
+    assert not report.ok
+    assert report.counterexample == "lam=3.2 rank=4 expected 0 or 5"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncschur.combinat import (
     SkewShape,
     YoungTableau,
+    column_stabilizer,
     delta_pi,
     interval_partition,
     jacobi_trudi_terms,
@@ -15,7 +16,9 @@ from ncschur.combinat import (
     parse_set_partition,
     partitions,
     parts_factorial,
+    perm_sign,
     permutations,
+    permute_set_partition,
     set_partitions,
     shape_of,
     skew,
@@ -25,6 +28,7 @@ from ncschur.combinat import (
 from ncschur.expr_format import add_up
 from ncschur.ncsym import NCSymExpr, basis_order, delta_action, from_m, sp_sign, to_m
 from ncschur.schur import (
+    _standard_words,
     family_rank,
     h_to_schur,
     normalized_schur_transition,
@@ -352,7 +356,31 @@ def test_specht_ranks():
     assert specht_rank((3, 1)) == syt_count((3, 1)) == 3
     assert specht_rank((2, 1, 1)) == 0
     assert specht_rank((4,)) == 1
-    assert specht_rank((1, 1)) in (0, 1)
+    assert specht_rank((1, 1)) == 0
+
+
+def test_standard_words_are_the_standard_tableaux():
+    for n in range(9):
+        for lam in partitions(n):
+            words = list(_standard_words(lam))
+            assert len(set(words)) == len(words) == syt_count(lam), lam
+            for word in words:
+                rows = [word[b[0] - 1:b[-1]] for b in interval_partition(lam)]
+                assert all(list(row) == sorted(row) for row in rows), (lam, word)
+                assert all(rows[r - 1][c] < rows[r][c]
+                           for r in range(1, len(rows)) for c in range(len(rows[r]))), (lam, word)
+
+
+def test_specht_vector_is_the_unfiltered_signed_stabilizer_sum():
+    # specht_vector drops the terms that an odd column transposition fixes
+    # before it walks the stabilizer; the full sum must cancel them
+    for n in range(6):
+        for lam in partitions(n):
+            for t in fillings(lam):
+                tab = tabloid_schur(t).terms
+                full = add_up((permute_set_partition(delta, pi), perm_sign(delta) * c)
+                              for delta in column_stabilizer(t) for pi, c in tab.items())
+                assert specht_vector(t) == NCSymExpr("h", full), t
 
 
 def test_specht_rank_matches_the_filling_oracle():
@@ -368,7 +396,9 @@ def _relabel(w, t):
 
 def test_specht_vector_moves_with_its_filling():
     # w applied to the Specht vector of t is the Specht vector of w.t, with
-    # sign +1: the orbit closure in specht_rank rests on this
+    # sign +1: specht_rank rests on this when it takes the vector of each
+    # standard tableau as its reading word applied to the vector of the
+    # row-reading filling
     for n in range(1, 6):
         swaps = [
             tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1)) for i in range(1, n)
