@@ -5,7 +5,10 @@ monomials they generate.
 A path starts at (start_x, 1), takes unit north and east steps, and ends
 with an infinite north tail. Since the east-step heights weakly increase
 along a path, the path is determined by its start and that height
-sequence; the tail carries no data.
+sequence; the tail carries no data. Path i starts in column
+inner_{eps_i} - eps_i and ends in column outer_i - i, a rule that only
+`_bounds` writes down. The swap splices two such paths at a common point,
+so it builds its result without the re-validation of `path_tuple`.
 """
 
 from __future__ import annotations
@@ -74,17 +77,25 @@ class PathTuple(NamedTuple):
         return "\n".join(str(p) for p in self.paths)
 
 
+def _bounds(shape: SkewShape, eps: Perm) -> list[tuple[int, int]]:
+    """Each path's (start, end) column under the start-point matching."""
+    if len(eps) != len(shape.outer):
+        raise ValueError("need one path per row of the outer shape")
+    return [(shape.inner_at(e - 1) - e, shape.outer[i] - (i + 1))
+            for i, e in enumerate(eps)]
+
+
 def path_tuple(shape: SkewShape, eps: Perm, paths) -> PathTuple:
     eps = check_perm(eps)
     paths = tuple(paths)
-    ell = len(shape.outer)
-    if len(eps) != ell or len(paths) != ell:
+    bounds = _bounds(shape, eps)
+    if len(paths) != len(bounds):
         raise ValueError("need one path per row of the outer shape")
-    for i, p in enumerate(paths):
-        if p.start_x != shape.inner_at(eps[i] - 1) - eps[i]:
-            raise ValueError(f"path {i + 1} starts at the wrong point")
-        if p.end_x != shape.outer[i] - (i + 1):
-            raise ValueError(f"path {i + 1} ends at the wrong point")
+    for i, (p, (start, end)) in enumerate(zip(paths, bounds), 1):
+        if p.start_x != start:
+            raise ValueError(f"path {i} starts at the wrong point")
+        if p.end_x != end:
+            raise ValueError(f"path {i} ends at the wrong point")
     return PathTuple(shape, eps, paths)
 
 
@@ -97,22 +108,11 @@ def enumerate_path_tuples(
     if height_cap < 1:
         raise ValueError("height cap must be at least 1")
     eps = check_perm(eps)
-    ell = len(shape.outer)
-    counts = []
-    for i in range(ell):
-        m = (shape.outer[i] - (i + 1)) - (shape.inner_at(eps[i] - 1) - eps[i])
-        if m < 0:
-            return
-        counts.append(m)
-    pools = [
-        [
-            LatticePath(shape.inner_at(eps[i] - 1) - eps[i], hs)
-            for hs in itertools.combinations_with_replacement(
-                range(1, height_cap + 1), counts[i]
-            )
-        ]
-        for i in range(ell)
-    ]
+    bounds = _bounds(shape, eps)
+    if any(end < start for start, end in bounds):
+        return
+    pools = [[LatticePath(start, hs) for hs in itertools.combinations_with_replacement(
+        range(1, height_cap + 1), end - start)] for start, end in bounds]
     for choice in itertools.product(*pools):
         yield PathTuple(shape, eps, choice)
 
@@ -138,16 +138,6 @@ def last_meeting_column(p: LatticePath, q: LatticePath) -> int | None:
     return None
 
 
-def _split_labels(paths) -> list[list[int]]:
-    """Global labels of the east steps, path by path."""
-    out = []
-    next_label = 1
-    for p in paths:
-        out.append(list(range(next_label, next_label + len(p.heights))))
-        next_label += len(p.heights)
-    return out
-
-
 def lgv_swap(P: PathTuple) -> tuple[PathTuple, Perm]:
     """The sign-reversing swap: locate the largest index whose path meets
     another, the largest partner index, and the column a of their last
@@ -164,37 +154,25 @@ def lgv_swap(P: PathTuple) -> tuple[PathTuple, Perm]:
          if j != i and (a := last_meeting_column(paths[i], paths[j])) is not None),
         None,
     )
-    n = sum(len(p.heights) for p in paths)
+    firsts = list(itertools.accumulate((len(p.heights) for p in paths), initial=1))
     if target is None:
-        return P, tuple(range(1, n + 1))
+        return P, tuple(range(1, firsts[-1]))
     i, j, a = target
-    cut_i = a - paths[i].start_x
-    cut_j = a - paths[j].start_x
-    new_i = LatticePath(
-        paths[j].start_x, paths[j].heights[:cut_j] + paths[i].heights[cut_i:]
-    )
-    new_j = LatticePath(
-        paths[i].start_x, paths[i].heights[:cut_i] + paths[j].heights[cut_j:]
-    )
-    new_paths = list(paths)
-    new_paths[i], new_paths[j] = new_i, new_j
-    new_eps = list(P.eps)
-    new_eps[i], new_eps[j] = new_eps[j], new_eps[i]
-    P2 = path_tuple(P.shape, tuple(new_eps), new_paths)
-
-    # each east step keeps its identity through the splice; read off where
-    # every original label lands in the relabelled tuple
-    old = _split_labels(paths)
-    carried = list(old)
-    carried[i] = old[j][:cut_j] + old[i][cut_i:]
-    carried[j] = old[i][:cut_i] + old[j][cut_j:]
-    xi = [0] * n
-    pos = 1
-    for labels in carried:
-        for lab in labels:
-            xi[lab - 1] = pos
-            pos += 1
-    return P2, tuple(xi)
+    new_paths, new_eps = list(paths), list(P.eps)
+    # each east step keeps its label through the splice; xi sends a label
+    # to its position in the swapped tuple
+    old = [range(firsts[r], firsts[r + 1]) for r in range(ell)]
+    labels = list(old)
+    for r, s in ((i, j), (j, i)):
+        cut_r, cut_s = a - paths[r].start_x, a - paths[s].start_x
+        new_paths[r] = LatticePath(
+            paths[s].start_x, paths[s].heights[:cut_s] + paths[r].heights[cut_r:])
+        new_eps[r] = P.eps[s]
+        labels[r] = [*old[s][:cut_s], *old[r][cut_r:]]
+    xi = [0] * (firsts[-1] - 1)
+    for pos, lab in enumerate(itertools.chain.from_iterable(labels), 1):
+        xi[lab - 1] = pos
+    return PathTuple(P.shape, tuple(new_eps), tuple(new_paths)), tuple(xi)
 
 
 def monomial(delta: Perm, P: PathTuple) -> tuple[int, ...]:
@@ -250,10 +228,5 @@ def signed_ledger(shape: SkewShape, height_cap: int):
     """Rows (sign, monomial word for the identity ordering, start matching,
     fixed-point flag) for every enumerated tuple; the TSV payload of the
     path-checking command."""
-    rows = []
-    for P in all_path_tuples(shape, height_cap):
-        P2, _ = lgv_swap(P)
-        n = sum(len(p.heights) for p in P.paths)
-        delta = tuple(range(1, n + 1))
-        rows.append((P.sign(), monomial(delta, P), P.eps, P2 == P))
-    return rows
+    return [(P.sign(), P.label_heights(), P.eps, lgv_swap(P)[0] == P)
+            for P in all_path_tuples(shape, height_cap)]

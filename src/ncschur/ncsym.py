@@ -341,7 +341,7 @@ def omega(expr: NCSymExpr) -> NCSymExpr:
             "p", {pi: c * sp_sign(pi) for pi, c in expr.terms.items()}
         )
     if expr.basis == "m":
-        return to_m(omega(from_m(expr, "h")))
+        return to_m(omega(from_m(expr, "p")))
     if expr.basis == "s":
         return NCSymExpr._trusted("st", expr.terms)
     return NCSymExpr._trusted("s", expr.terms)

@@ -163,6 +163,26 @@ def test_lgv_catches_a_swap_at_the_first_meeting_column(monkeypatch):
     assert report.counterexample == WORKED_EXAMPLE_312456
 
 
+def test_lgv_catches_a_swap_whose_first_path_starts_one_column_left(monkeypatch):
+    good = lgv.lgv_swap
+
+    def shifted(P):
+        P2, xi = good(P)
+        if not P2.paths:
+            return P2, xi
+        first = P2.paths[0]
+        return P2._replace(paths=(first._replace(start_x=first.start_x - 1),)
+                           + P2.paths[1:]), xi
+
+    # lgv_swap builds its result without path_tuple's checks, so a bad
+    # splice shows as an image outside the enumeration. Smallest size: 0.
+    # The one tuple of 1/1 is a path without east steps, fixed by the swap
+    monkeypatch.setattr(lgv, "lgv_swap", shifted)
+    report = suite_lgv(max_size=0)
+    assert not report.ok
+    assert report.counterexample == "not an involution: 1/1 k=1\n0: "
+
+
 def tableau_with_reversed_rows(P):
     """lgv.tuple_to_tableau reading each path's east-step heights from its
     last step to its first."""
@@ -224,4 +244,4 @@ def test_specht_catches_a_standard_tableau_dropped_from_one_shape(monkeypatch):
     assert suite_specht(max_n=4).ok
     report = suite_specht()
     assert not report.ok
-    assert report.counterexample == "lam=3.2 rank=4 expected 0 or 5"
+    assert report.counterexample == "lam=3.2 rank=4 expected 5"

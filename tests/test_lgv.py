@@ -79,6 +79,17 @@ def test_path_tuple_start_and_end_validation():
     assert good.label_heights() == (1, 1, 1)
 
 
+@pytest.mark.parametrize("eps", [(1,), (1, 2, 3)])
+def test_a_matching_of_the_wrong_length_is_rejected(eps):
+    # one start point per row of the outer shape, two here
+    shape = skew((3, 2), (1,))
+    paths = [path(0, (1, 1)), path(-2, (1,))]
+    with pytest.raises(ValueError, match="one path per row"):
+        list(enumerate_path_tuples(shape, eps, 2))
+    with pytest.raises(ValueError, match="one path per row"):
+        path_tuple(shape, eps, paths[:len(eps)])
+
+
 def test_common_points_ordered_by_coordinate_sum():
     p = path(0, (1, 3))
     q = path(-1, (1, 1, 2))
@@ -233,6 +244,17 @@ def test_every_swap_of_the_default_range_lands_in_the_enumeration():
             assert lgv_swap(P)[0] in enumerated, (shape, k, P.dump())
         count += len(tuples)
     assert count == 6086
+
+
+def test_every_swap_of_the_default_range_is_a_valid_height_preserving_relabelling():
+    # lgv_swap builds its result without path_tuple's checks; they run here
+    for shape, k in DEFAULT_RANGE:
+        for P in all_path_tuples(shape, k):
+            P2, xi = lgv_swap(P)
+            assert path_tuple(P2.shape, P2.eps, P2.paths) == P2, P.dump()
+            hp, hp2 = P.label_heights(), P2.label_heights()
+            assert sorted(xi) == list(range(1, len(hp) + 1)), P.dump()
+            assert all(hp[i] == hp2[xi[i] - 1] for i in range(len(hp))), P.dump()
 
 
 @pytest.mark.parametrize("shape", [skew((2, 1)), skew((2, 2), (1,)), skew((3, 1), (1,))])

@@ -140,6 +140,16 @@ def test_omega_is_an_involution():
             assert omega(omega(f)).terms == f.terms
 
 
+def test_omega_of_an_m_expression_matches_the_h_route():
+    # omega is a sign on p; the h-route swaps the h- and e-coefficients
+    for n in range(6):
+        for pi in set_partitions(n):
+            f = NCSymExpr.single("m", pi)
+            via_h = to_m(NCSymExpr("e", from_m(f, "h").terms))
+            assert omega(f) == via_h
+            assert list(omega(f).terms.items()) == list(via_h.terms.items())
+
+
 def test_to_h_round_trips_through_m():
     for n in range(6):
         for basis in "pe":

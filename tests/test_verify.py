@@ -254,7 +254,17 @@ def test_specht_catches_a_rank_that_is_neither_0_nor_the_standard_count(monkeypa
     report = suite_specht(5)
     assert not report.ok
     assert report.name == "specht"
-    assert report.counterexample == "lam=3.2 rank=4 expected 0 or 5"
+    assert report.counterexample == "lam=3.2 rank=4 expected 5"
+
+
+def test_specht_catches_a_rank_of_0_for_every_shape(monkeypatch):
+    # 0 is one of the two ranks an irreducible image can have, so only the
+    # repeated-odd-part rule tells it from f^lambda; the first shape, 1,
+    # has no repeated part
+    monkeypatch.setattr(schur, "specht_rank", lambda lam: 0)
+    report = suite_specht(5)
+    assert not report.ok
+    assert report.counterexample == "lam=1 rank=0 expected 1"
 
 
 def wrong_stabilizer_of_one_type(monkeypatch):
