@@ -20,7 +20,7 @@ _SOURCES = {
         "combinat": "SkewShape SemistandardTableau YoungTableau concat delta_pi kostka "
                     "near_concat partitions ribbon_shape set_partitions skew slash",
         "ncpoly": "CPoly NCPoly",
-        "ncsym": "NCSymExpr coproduct delta_action from_m naive_expand omega "
+        "ncsym": "NCSymExpr convert coproduct delta_action from_m naive_expand omega "
                  "oracle_expand product rho to_m",
         "nsym": "NSymExpr chi iota",
         "schur": "h_to_schur rosas_sagan rs_lr_expand schur_basis_convert source_skew_schur "

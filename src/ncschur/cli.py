@@ -25,7 +25,7 @@ from .combinat import (
     parse_skew,
     tableau,
 )
-from .ncsym import NCSymExpr, delta_action, from_m, omega, oracle_expand, rho, to_h, to_m
+from .ncsym import NCSymExpr, convert, delta_action, omega, oracle_expand, rho, to_m
 
 # the size keywords of the verify suites; each suite takes exactly one
 SIZE_OPTIONS = ("max_size", "max_n", "max_degree")
@@ -82,17 +82,12 @@ def cmd_expand(args) -> int:
 
 def cmd_convert(args) -> int:
     expr = _index_expr(args)
-    if args.to == "m":
-        out = to_m(expr)
-    elif args.to == "s":
+    if args.to == "s":
         from . import schur
 
-        out = schur.schur_basis_convert(expr, "s")
-    elif args.to == "h":
-        out = to_h(expr)
+        _emit(args, schur.schur_basis_convert(expr, "s"))
     else:
-        out = from_m(to_m(expr), args.to)
-    _emit(args, out)
+        _emit(args, convert(expr, args.to))
     return 0
 
 

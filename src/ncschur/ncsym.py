@@ -1,7 +1,7 @@
 """Symmetric functions in noncommuting variables: the m/p/e/h bases over
-set partitions, exact basis change, products, the omega involution, the
-permutation action, the projection to commuting variables, the coproduct,
-and the word-expansion bridge to the polynomial oracle.
+set partitions, exact basis change through p, products, the omega
+involution, the permutation action, the projection to commuting variables,
+the coproduct, and the word-expansion bridge to the polynomial oracle.
 
 The Schur-type bases ("s", "st") are carried by the same expression class;
 their expansions into the h- and e-bases live in :mod:`ncschur.schur` and
@@ -184,6 +184,14 @@ class _CodedLattice:
                 weights = [v * w for v in weights for w in block_weights]
         return codes, weights
 
+    def masks(self, code: int) -> tuple[int, ...]:
+        """The block bitmasks of the code's set partition, by least element."""
+        blocks: dict[int, int] = {}
+        for x in range(self.n):
+            code, digit = divmod(code, self.n)
+            blocks[digit] = blocks.get(digit, 0) | 1 << x
+        return tuple(blocks.values())
+
     def down_sets(self):
         """Every set partition sigma of {1..n} with the codes of its
         down-set. sigma is built block by block, each block holding the
@@ -204,71 +212,62 @@ class _CodedLattice:
         return walk(len(self.blocks) - 1, [0], ())
 
 
-def to_m(expr: NCSymExpr) -> NCSymExpr:
-    """Exact monomial-basis expansion by the lattice rules (Rosas-Sagan):
-    p_tau = sum over sigma >= tau of m_sigma, and h_pi = sum over tau <= pi
-    of |mu(0, tau)| p_tau, the same for e_pi with mu(0, tau). In integers
-    per degree, scaled by the lcm of the denominators, the h/e terms are
-    scattered over their coded down-sets (see _CodedLattice) into p-terms,
-    a p term being its own code, and m_sigma gathers its down-set."""
-    if expr.basis == "m":
-        return expr
-    if expr.basis in ("s", "st"):
-        return to_m(to_h_or_e(expr))
-    out = {}
-    for n, ints, den in integer_degrees(expr.terms, sp_size):
-        tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
-        lattice = _CodedLattice(n, [abs(v) for v in tops] if expr.basis == "h" else tops)
-        p: dict[int, int] = {}
-        for pi, a in ints.items():
-            if expr.basis == "p":
-                codes, weights = [sum((b[0] - 1) * n ** (x - 1) for b in pi for x in b)], [a]
-            else:
-                codes, weights = lattice.down_set(_masks(pi), a)
-            for c, w in zip(codes, weights):
-                p[c] = p.get(c, 0) + w
-        for sigma, codes in lattice.down_sets():
-            if c := sum(map(p.get, codes, itertools.repeat(0))):
-                out[sigma] = Fraction(c, den)
-    return NCSymExpr._trusted("m", out)
-
-
-def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
-    """Rewrite a monomial-basis expression in the p/e/h basis by Moebius
-    inversion on the set-partition lattice (Rosas-Sagan). First
-    m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma; inverting the
-    to_m rules gives p_sigma = sum over tau <= sigma of mu(tau, sigma) h_tau
-    / |mu(0, sigma)|, and the same for e_tau over mu(0, sigma). mu(tau,
-    sigma) is the product over the blocks B of sigma of mu(0, top) in the
-    lattice of the blocks of tau inside B. In integers per degree, on block
-    bitmasks: each set partition rho of the blocks of pi ORs their masks
-    into a canonical sigma >= pi, and mu(pi, sigma) = mu(0, rho). The
-    p-terms over mu(0, sigma) are scattered over the coded down-sets (see
-    _CodedLattice); each tau of the set-partition table reads its
-    coefficient at its code, made from its blocks, so no code is decoded."""
-    if expr.basis != "m":
-        raise ValueError("from_m needs a monomial-basis expression")
-    if target not in ("p", "e", "h"):
+def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
+    """Exact basis change into m, p, e or h through p once (Rosas-Sagan):
+    h_pi = sum over tau <= pi of |mu(0, tau)| p_tau, e_pi the same with
+    mu(0, tau), and m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma.
+    s/st expand into h/e first. Per degree, in integers over the lcm of the
+    denominators, p is keyed by the tuple of its block bitmasks (_masks).
+    An m-term spreads over its up-set: each set partition rho of pi's blocks
+    ORs their masks into sigma, and mu(pi, sigma) = mu(0, rho). An h/e-term
+    scatters over its coded down-set (_CodedLattice), each code read back
+    into masks. m_sigma gathers the p-codes of its down-set (p_tau = sum over
+    sigma >= tau of m_sigma). h/e scatter p_sigma / mu(0, sigma), |mu| for h,
+    over the down-set of sigma with weights mu(tau, sigma), the product over
+    the blocks B of sigma of mu(0, top) in the lattice of tau's blocks in B."""
+    if target not in ("m", "p", "e", "h"):
         raise ValueError(f"cannot convert into basis {target!r}")
+    if expr.basis in ("s", "st"):
+        expr = to_h_or_e(expr)
+    if expr.basis == target:
+        return expr
     out = {}
     for n, ints, den in integer_degrees(expr.terms, sp_size):
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
-        names, p = _names(n), {}
-        top_of = {c: tops[len(c)] for c in names}
-        for pi, a in ints.items():
-            unions = [0]  # per subset s of the positions of pi's blocks: OR of their masks
-            for mask in _masks(pi):
-                unions += [u | mask for u in unions]
-            union = dict(zip(names, unions))  # keyed by s as a tuple
-            for rho in set_partitions(len(pi)):
-                sigma = tuple(map(union.__getitem__, rho))
-                p[sigma] = p.get(sigma, 0) + a * math.prod(map(top_of.__getitem__, rho))
+        names = _names(n)
+        if expr.basis == "m":
+            p: dict[tuple[int, ...], int] = {}
+            top_of = {c: tops[len(c)] for c in names}
+            for pi, a in ints.items():
+                unions = [0]  # per subset s of the positions of pi's blocks: OR of their masks
+                for mask in _masks(pi):
+                    unions += [u | mask for u in unions]
+                union = dict(zip(names, unions))  # keyed by s as a tuple
+                for rho in set_partitions(len(pi)):
+                    sigma = tuple(map(union.__getitem__, rho))
+                    p[sigma] = p.get(sigma, 0) + a * math.prod(map(top_of.__getitem__, rho))
+        elif expr.basis == "p":
+            p = {tuple(_masks(pi)): a for pi, a in ints.items()}
+        else:
+            lattice = _CodedLattice(n, [abs(v) for v in tops] if expr.basis == "h" else tops)
+            p = {lattice.masks(code): c for code, c in add_up(
+                pair for pi, a in ints.items() for pair in zip(*lattice.down_set(_masks(pi), a))
+            ).items()}
         if target == "p":
             fractions = {c: Fraction(c, den) for c in set(p.values()) if c}
             out.update((tuple([names[m] for m in sigma]), fractions[c])
                        for sigma, c in p.items() if c)
             continue
-        lattice = _CodedLattice(n, by_count=tops)
+        if target != "m" or expr.basis == "p":  # else the h/e source's lattice gathers
+            lattice = _CodedLattice(n, by_count=tops)
+        # a block's share of a code: (its least element - 1) at its places
+        digits = [((m & -m).bit_length() - 1) * lattice.place[m] for m in range(1 << n)]
+        if target == "m":
+            codes = {sum(map(digits.__getitem__, sigma)): c for sigma, c in p.items()}
+            for sigma, down in lattice.down_sets():
+                if c := sum(map(codes.get, down, itertools.repeat(0))):
+                    out[sigma] = Fraction(c, den)
+            continue
         mu0 = [abs(v) for v in tops] if target == "h" else tops
         mus = {sigma: math.prod([mu0[m.bit_count()] for m in sigma]) for sigma, c in p.items() if c}
         scale = math.lcm(*(abs(mu) // math.gcd(p[sigma], mu) for sigma, mu in mus.items()))
@@ -276,14 +275,24 @@ def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
         for sigma, mu in mus.items():
             for code, w in zip(*lattice.down_set(sigma, p[sigma] * scale // mu)):
                 acc[code] = acc.get(code, 0) + w
-        # a block's share of a code: (its least element - 1) at its places
-        digits = {names[m]: ((m & -m).bit_length() - 1) * lattice.place[m]
-                  for m in range(1, 1 << n)}
+        share = dict(zip(names, digits))
         fractions = {c: Fraction(c, den * scale) for c in set(acc.values()) if c}
         for tau in set_partitions(n):
-            if c := acc.get(sum(map(digits.__getitem__, tau))):
+            if c := acc.get(sum(map(share.__getitem__, tau))):
                 out[tau] = fractions[c]
     return NCSymExpr._trusted(target, out)
+
+
+def to_m(expr: NCSymExpr) -> NCSymExpr:
+    return convert(expr, "m")
+
+
+def from_m(expr: NCSymExpr, target: str) -> NCSymExpr:
+    if expr.basis != "m":
+        raise ValueError("from_m needs a monomial-basis expression")
+    if target not in ("p", "e", "h"):
+        raise ValueError(f"cannot convert into basis {target!r}")
+    return convert(expr, target)
 
 
 def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:
@@ -297,11 +306,7 @@ def to_h_or_e(expr: NCSymExpr) -> NCSymExpr:
 
 
 def to_h(expr: NCSymExpr) -> NCSymExpr:
-    if expr.basis == "h":
-        return expr
-    if expr.basis == "s":
-        return to_h_or_e(expr)
-    return from_m(to_m(expr), "h")
+    return convert(expr, "h")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The integer-coded refinement lattice behind ncsym.to_m and ncsym.from_m,
-against oracles that share no code with it: down-sets from
-combinat.refines, Moebius values from the defining recursion over
-refines, and codes decoded here digit by digit."""
+"""The integer-coded refinement lattice behind ncsym.convert, against
+oracles that share no code with it: down-sets from combinat.refines,
+Moebius values from the defining recursion over refines, and codes decoded
+here digit by digit."""
 
 from math import factorial, prod
 
@@ -24,6 +24,21 @@ def decode(code, n):
     for x, low in zip(range(1, n + 1), least):
         blocks.setdefault(low, []).append(x)
     return tuple(tuple(blocks[low]) for low in sorted(blocks))
+
+
+def code_of(tau, n):
+    return sum((b[0] - 1) * n ** (x - 1) for b in tau for x in b)
+
+
+def test_codes_read_back_into_the_masks_of_their_blocks():
+    for n in range(8):
+        lattice = _CodedLattice(n)
+        for tau in set_partitions(n):
+            code = code_of(tau, n)
+            masks = lattice.masks(code)
+            assert masks == tuple(_masks(tau)), tau
+            blocks = tuple(tuple(x for x in range(1, n + 1) if m >> (x - 1) & 1) for m in masks)
+            assert blocks == (decode(code, n) if n else ()), tau
 
 
 def mobius_rows(n):

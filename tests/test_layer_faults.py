@@ -38,6 +38,32 @@ def test_rsrefines_catches_a_sign_flip_in_the_determinant_walk(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# basis change through p
+
+
+def test_rsrefines_catches_a_code_read_back_with_the_last_element_moved(monkeypatch):
+    good = ncsym._CodedLattice.masks
+
+    def moved(self, code):
+        # the block masks of the code, element n moved into the first block
+        if not self.n:
+            return good(self, code)
+        top = 1 << self.n - 1
+        masks = [m & ~top for m in good(self, code)]
+        masks[0] |= top
+        return tuple(m for m in masks if m)
+
+    monkeypatch.setattr(ncsym._CodedLattice, "masks", moved)
+    # smallest size: 2. At degree 1 the one element is already in the first
+    # block; to_m of the degree-2 h-expression reads p through the fault
+    assert suite_rsrefines(max_size=1).ok
+    for size in (2, 3):
+        report = suite_rsrefines(max_size=size)
+        assert not report.ok
+        assert report.counterexample == "2"
+
+
+# ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients and Kostka numbers
 
 
