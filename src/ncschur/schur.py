@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 from operator import itemgetter
 
+from . import sym
 from .combinat import (
     Composition,
     Partition,
@@ -58,7 +59,7 @@ from .ncsym import (
     to_m,
 )
 # littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
-from .sym import SymExpr, littlewood_richardson, lr_coefficients  # noqa: F401
+from .sym import littlewood_richardson, lr_coefficients  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +415,12 @@ def skew_kostka_check(shape: SkewShape, pairs, rs: NCSymExpr) -> bool:
     Littlewood-Richardson expansion, as rs_lr_expand lists them. The skew
     side is read off rs, the shape's Rosas-Sagan function (rosas_sagan):
     its coefficient of any set partition of type gamma, here the interval
-    one, is gamma! times K(shape, gamma). The straight rows are the
-    m-expansions of the classical Schur functions s_nu, each one
-    combinat.kostka_row pass over nu (sym._index_to_m)."""
-    rows = [(c, SymExpr.single("s", nu).to_m().terms) for nu, c in pairs]
+    one, is gamma! times K(shape, gamma). The straight rows are the Kostka
+    numbers of the classical Schur functions s_nu as ints, each one
+    combinat.kostka_row pass over nu, looked up through sym._index_to_m at
+    each call; the weighted sums stay in ints and meet rs's Fractions only
+    in the one exact comparison per gamma."""
+    rows = [(c, sym._index_to_m("s", nu)) for nu, c in pairs]
     return all(
         rs.terms.get(interval_partition(gam), 0)
         == parts_factorial(gam) * sum(c * row.get(gam, 0) for c, row in rows)

@@ -191,8 +191,13 @@ def _first_slash_fault(n: int, basis: str, tau, splits: list, factor) -> str | N
         # must equal the outer product of the factors' (the base-n words
         # of lengths a and n - a concatenate to w1 * n**(n - a) + w2);
         # the length guard comes first, as it catches a factor list of
-        # the wrong length, which the outer product would otherwise absorb
-        left, right = factor(pi), factor(sig)
+        # the wrong length, which the outer product would otherwise absorb;
+        # a factor that its degree's enumeration did not list has no
+        # expansion to look up, and its empty stand-in fails that guard
+        try:
+            left, right = factor(pi), factor(sig)
+        except KeyError:
+            left = right = array("q")
         lengths = (len(lhs), len(left), len(right))
         if lengths != (n**n, n**a, n ** (n - a)) or not _is_outer_product(lhs, left, right):
             return (f"{basis}: pi={format_set_partition(pi)} "
@@ -308,23 +313,31 @@ def suite_rslr(max_size: int = 6, inner_cap: int = 3) -> SuiteReport:
     same way. The coefficients count lattice-word fillings
     (sym.lr_coefficients), the Rosas-Sagan functions come from the
     branching rule (combinat.kostka_row, one pass per shape), and so do the
-    straight Kostka rows, the m-expansions of the Schur functions
+    straight Kostka rows, the m-expansions of the Schur functions as ints
     (sym._index_to_m). The skew Kostka row is read off the shape's
-    Rosas-Sagan function, built once for both checks."""
+    Rosas-Sagan function, built once for both checks. Each straight function
+    is held as ints: its coefficients are nu! times Kostka numbers, so one
+    with a denominator other than 1 is reported, naming nu; the expansion
+    is then summed in ints and compared exactly with the skew function."""
     detail = f"skew sizes <= {max_size}, inner shapes of size <= {inner_cap}"
-    straight: dict = {}  # nu -> the straight Rosas-Sagan function, built once per call
+    fail = partial(SuiteReport, "rslr", False, detail)
+    straight: dict = {}  # nu -> the straight Rosas-Sagan function as ints, built once per call
     for shape in skew_shapes(max_size, inner_cap):
         # one LR expansion per shape: the Kostka split checks the same pairs
         pairs = schur.rs_lr_expand(shape)
         for nu, _ in pairs:
             if nu not in straight:
-                straight[nu] = schur.rosas_sagan(SkewShape(nu, ()))
-        rhs = add_up((pi, c * a) for nu, c in pairs for pi, a in straight[nu].terms.items())
+                terms = schur.rosas_sagan(SkewShape(nu, ())).terms
+                if any(a.denominator != 1 for a in terms.values()):
+                    return fail(f"non-integer coefficient in the straight function of "
+                                f"{format_partition(nu)}")
+                straight[nu] = {pi: a.numerator for pi, a in terms.items()}
+        rhs = add_up((pi, c * a) for nu, c in pairs for pi, a in straight[nu].items())
         rs = schur.rosas_sagan(shape)
         if rhs != rs.terms:
-            return SuiteReport("rslr", False, detail, str(shape))
+            return fail(str(shape))
         if not schur.skew_kostka_check(shape, pairs, rs):
-            return SuiteReport("rslr", False, detail, f"Kostka split at {shape}")
+            return fail(f"Kostka split at {shape}")
     return SuiteReport("rslr", True, detail)
 
 

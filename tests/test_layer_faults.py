@@ -4,9 +4,52 @@ catches at any size is a layer that ``ncschur verify`` does not check."""
 
 from array import array
 
+import pytest
+
 from ncschur import combinat, lgv, ncsym, schur, sym
 from ncschur.combinat import SemistandardTableau, SkewShape
-from ncschur.verify import suite_lgv, suite_rslr, suite_rsrefines, suite_specht
+from ncschur.verify import suite_lgv, suite_prod, suite_rslr, suite_rsrefines, suite_specht
+
+# ---------------------------------------------------------------------------
+# set-partition enumeration
+
+
+@pytest.fixture
+def enumeration_without_14_23(monkeypatch):
+    """combinat._set_partitions with 14/23 dropped from degree 4. The real
+    enumeration and ncsym.basis_order, which sorts it, are cached, so both
+    caches are cleared before the fault and again after it."""
+    good = combinat._set_partitions
+    good.cache_clear()
+    ncsym.basis_order.cache_clear()
+    monkeypatch.setattr(combinat, "_set_partitions", lambda n: tuple(
+        pi for pi in good(n) if pi != ((1, 4), (2, 3))))
+    yield
+    monkeypatch.undo()
+    good.cache_clear()
+    ncsym.basis_order.cache_clear()
+
+
+def test_rsrefines_catches_a_set_partition_missing_from_the_enumeration(
+        enumeration_without_14_23):
+    # smallest size: 4. rosas_sagan spreads the row 4's Kostka numbers over
+    # the enumerated set partitions, so it misses 14/23, which to_m of the
+    # symmetrized source function reaches with 2!2!·K(4, 2.2) = 4
+    assert suite_rsrefines(max_size=3).ok
+    report = suite_rsrefines(max_size=4)
+    assert not report.ok
+    assert report.counterexample == "4"
+
+
+def test_prod_reports_a_slash_factor_missing_from_the_enumeration(enumeration_without_14_23):
+    # smallest size: 5. 1|14/23 = 1/25/34 splits after 1, and its right
+    # factor 14/23 has no expansion among the degree-4 factors: the suite
+    # reports the split rather than raising KeyError
+    assert suite_prod(max_size=4).ok
+    report = suite_prod(max_size=5)
+    assert not report.ok
+    assert report.counterexample == "h: pi=1 sig=14/23"
+
 
 # ---------------------------------------------------------------------------
 # the Jacobi-Trudi determinant
@@ -130,6 +173,28 @@ def test_rslr_catches_a_doubled_straight_kostka_row(monkeypatch):
     report = suite_rslr(max_size=2, inner_cap=3)
     assert not report.ok
     assert report.counterexample == "Kostka split at 1.1"
+
+
+def test_rslr_catches_a_straight_function_with_a_non_integer_coefficient(monkeypatch):
+    good = schur.rosas_sagan
+
+    def halved(shape):
+        rs = good(shape)
+        if shape != SkewShape((1, 1), ()):
+            return rs
+        terms = dict(rs.terms)
+        pi = next(iter(terms))
+        terms[pi] /= 2
+        return ncsym.NCSymExpr._trusted("m", terms)
+
+    assert suite_rslr(max_size=2, inner_cap=3).ok
+    monkeypatch.setattr(schur, "rosas_sagan", halved)
+    # smallest size: 2, the size of 1.1. Its straight function has the one
+    # coefficient 1!1!·K(1.1, 1.1) = 1, at 1/2; halved, it is no integer
+    assert suite_rslr(max_size=1, inner_cap=3).ok
+    report = suite_rslr(max_size=2, inner_cap=3)
+    assert not report.ok
+    assert report.counterexample == "non-integer coefficient in the straight function of 1.1"
 
 
 # ---------------------------------------------------------------------------
