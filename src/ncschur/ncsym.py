@@ -124,14 +124,14 @@ def _masks(pi: SetPartition) -> list[int]:
 
 class _CodedLattice:
     """Down-sets in the lattice of set partitions of {1..n} as lists of
-    integer codes and weights. A code gives element x the digit (least
-    element of its block) - 1 at place n^(x - 1): it is the sum of its
-    blocks' codes, and the down-set of sigma is the sumset over the blocks
-    B of sigma of the codes of the set partitions of B. Those are made once
-    per B: for each subset S of B less its least element x (see _subsets),
-    the block x + S followed by each set partition of B - x - S. A set
-    partition of B weighs by_count[its number of blocks] times the product
-    of by_size[size] over its blocks."""
+    integer codes and weights, for the h and e bases. A code gives element x
+    the digit (least element of its block) - 1 at place n^(x - 1): it is the
+    sum of its blocks' codes, and the down-set of sigma is the sumset over
+    the blocks B of sigma of the codes of the set partitions of B. Those are
+    made once per B: for each subset S of B less its least element x (see
+    _subsets), the block x + S followed by each set partition of B - x - S.
+    A set partition of B weighs by_count[its number of blocks] times the
+    product of by_size[size] over its blocks."""
 
     def __init__(self, n: int, by_size=None, by_count=None):
         self.n = n
@@ -192,39 +192,41 @@ class _CodedLattice:
             blocks[digit] = blocks.get(digit, 0) | 1 << x
         return tuple(blocks.values())
 
-    def down_sets(self):
-        """Every set partition sigma of {1..n} with the codes of its
-        down-set. sigma is built block by block, each block holding the
-        least element not yet placed, so that prefixes share their sumsets."""
-        lists = [self.block(mask)[0] for mask in range(len(self.blocks))]
-        names = _names(self.n)
 
-        def walk(rest, codes, prefix):
-            if not rest:
-                yield prefix, codes
-                return
-            low = rest & -rest
-            for sub in _subsets(rest ^ low):
-                block = lists[low | sub]
-                yield from walk(rest ^ low ^ sub, [c + d for c in codes for d in block],
-                                prefix + (names[low | sub],))
-
-        return walk(len(self.blocks) - 1, [0], ())
+def _up_sets(terms, tops=None) -> dict[tuple[int, ...], int]:
+    """Scatter each (block bitmasks of pi, int coefficient) over the up-set
+    of pi: each set partition rho of pi's blocks ORs their masks into a
+    sigma >= pi, weighted mu(pi, sigma) = mu(0, rho), the product of
+    tops[size] over the blocks of rho, given tops, and 1 otherwise."""
+    out, rhos = {}, {}  # rhos: per number of blocks, the rhos and their weights
+    for masks, a in terms:
+        if (k := len(masks)) not in rhos:
+            rhos[k] = _names(k), [(rho, math.prod([tops[len(b)] for b in rho]) if tops else 1)
+                                  for rho in set_partitions(k)]
+        names, weighted = rhos[k]
+        unions = [0]  # per subset s of the positions of pi's blocks: the OR of their masks
+        for mask in masks:
+            unions += [u | mask for u in unions]
+        union = dict(zip(names, unions))  # keyed by s as a tuple
+        for rho, w in weighted:
+            sigma = tuple(map(union.__getitem__, rho))
+            out[sigma] = out.get(sigma, 0) + a * w
+    return out
 
 
 def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
     """Exact basis change into m, p, e or h through p once (Rosas-Sagan):
     h_pi = sum over tau <= pi of |mu(0, tau)| p_tau, e_pi the same with
-    mu(0, tau), and m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma.
-    s/st expand into h/e first. Per degree, in integers over the lcm of the
-    denominators, p is keyed by the tuple of its block bitmasks (_masks).
-    An m-term spreads over its up-set: each set partition rho of pi's blocks
-    ORs their masks into sigma, and mu(pi, sigma) = mu(0, rho). An h/e-term
-    scatters over its coded down-set (_CodedLattice), each code read back
-    into masks. m_sigma gathers the p-codes of its down-set (p_tau = sum over
-    sigma >= tau of m_sigma). h/e scatter p_sigma / mu(0, sigma), |mu| for h,
-    over the down-set of sigma with weights mu(tau, sigma), the product over
-    the blocks B of sigma of mu(0, top) in the lattice of tau's blocks in B."""
+    mu(0, tau), m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma, and
+    p_tau = sum over sigma >= tau of m_sigma. s/st expand into h/e first.
+    Per degree, in integers over the lcm of the denominators, p is keyed by
+    the tuple of its block bitmasks (_masks). m and p meet over up-sets
+    (_up_sets); into m the terms come out in decreasing order of their mask
+    tuples. h/e and p meet over down-sets (_CodedLattice): an h/e-term
+    scatters over its coded down-set, each code read back into masks, and
+    into h/e p_sigma / mu(0, sigma), |mu| for h, scatters over the down-set
+    of sigma with weights mu(tau, sigma), the product over the blocks B of
+    sigma of mu(0, top) in the lattice of tau's blocks in B."""
     if target not in ("m", "p", "e", "h"):
         raise ValueError(f"cannot convert into basis {target!r}")
     if expr.basis in ("s", "st"):
@@ -236,16 +238,7 @@ def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
         names = _names(n)
         if expr.basis == "m":
-            p: dict[tuple[int, ...], int] = {}
-            top_of = {c: tops[len(c)] for c in names}
-            for pi, a in ints.items():
-                unions = [0]  # per subset s of the positions of pi's blocks: OR of their masks
-                for mask in _masks(pi):
-                    unions += [u | mask for u in unions]
-                union = dict(zip(names, unions))  # keyed by s as a tuple
-                for rho in set_partitions(len(pi)):
-                    sigma = tuple(map(union.__getitem__, rho))
-                    p[sigma] = p.get(sigma, 0) + a * math.prod(map(top_of.__getitem__, rho))
+            p = _up_sets([(tuple(_masks(pi)), a) for pi, a in ints.items()], tops)
         elif expr.basis == "p":
             p = {tuple(_masks(pi)): a for pi, a in ints.items()}
         else:
@@ -253,29 +246,22 @@ def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
             p = {lattice.masks(code): c for code, c in add_up(
                 pair for pi, a in ints.items() for pair in zip(*lattice.down_set(_masks(pi), a))
             ).items()}
-        if target == "p":
+        if target == "m":  # p_tau = sum over sigma >= tau of m_sigma
+            p = dict(sorted(_up_sets(p.items()).items(), reverse=True))
+        if target in ("m", "p"):
             fractions = {c: Fraction(c, den) for c in set(p.values()) if c}
             out.update((tuple([names[m] for m in sigma]), fractions[c])
                        for sigma, c in p.items() if c)
             continue
-        if target != "m" or expr.basis == "p":  # else the h/e source's lattice gathers
-            lattice = _CodedLattice(n, by_count=tops)
-        # a block's share of a code: (its least element - 1) at its places
-        digits = [((m & -m).bit_length() - 1) * lattice.place[m] for m in range(1 << n)]
-        if target == "m":
-            codes = {sum(map(digits.__getitem__, sigma)): c for sigma, c in p.items()}
-            for sigma, down in lattice.down_sets():
-                if c := sum(map(codes.get, down, itertools.repeat(0))):
-                    out[sigma] = Fraction(c, den)
-            continue
         mu0 = [abs(v) for v in tops] if target == "h" else tops
         mus = {sigma: math.prod([mu0[m.bit_count()] for m in sigma]) for sigma, c in p.items() if c}
         scale = math.lcm(*(abs(mu) // math.gcd(p[sigma], mu) for sigma, mu in mus.items()))
-        acc: dict[int, int] = {}
+        lattice, acc = _CodedLattice(n, by_count=tops), {}
         for sigma, mu in mus.items():
             for code, w in zip(*lattice.down_set(sigma, p[sigma] * scale // mu)):
                 acc[code] = acc.get(code, 0) + w
-        share = dict(zip(names, digits))
+        # a block's share of a code: (its least element - 1) at its places
+        share = {c: ((m & -m).bit_length() - 1) * lattice.place[m] for m, c in enumerate(names)}
         fractions = {c: Fraction(c, den * scale) for c in set(acc.values()) if c}
         for tau in set_partitions(n):
             if c := acc.get(sum(map(share.__getitem__, tau))):

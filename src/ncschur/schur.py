@@ -153,13 +153,24 @@ def _schur_columns():
     return column
 
 
+class _Places(dict):
+    """The place of each set partition in basis_order(n); looking up one
+    that it does not list raises LookupError naming it."""
+
+    def __init__(self, n: int):
+        super().__init__((pi, i) for i, pi in enumerate(basis_order(n)))
+
+    def __missing__(self, pi):
+        raise LookupError(f"{format_set_partition(pi)} is not in basis_order({sp_size(pi)})")
+
+
 def normalized_schur_transition(n: int):
     """The degree-n matrix writing each Schur basis element over the basis
     h_sigma / lambda(sigma)!, in the fixed basis order: entry [row sigma]
     [column pi] is the int signed Jacobi-Trudi count of sigma in pi's Schur
     column (_schur_columns). It is upper-unitriangular with determinant 1."""
     order = basis_order(n)
-    pos = {pi: i for i, pi in enumerate(order)}
+    pos = _Places(n)
     mat = [[0] * len(order) for _ in order]
     column = _schur_columns()
     for j, pi in enumerate(order):
@@ -267,7 +278,7 @@ def family_rank(family: list[NCSymExpr], n: int) -> int:
     from . import ratlin
 
     order = basis_order(n)
-    pos = {pi: i for i, pi in enumerate(order)}
+    pos = _Places(n)
     rows = []
     for f in family:
         f = to_h(f)
@@ -329,7 +340,7 @@ def specht_rank(lam: Partition) -> int:
     v0 = specht_vector(YoungTableau(SkewShape(lam, ()), interval_partition(lam))).terms
     if not v0:
         return 0
-    pos = {pi: i for i, pi in enumerate(basis_order(sum(lam)))}
+    pos = _Places(sum(lam))
     rows: dict[SetPartition, dict[SetPartition, Fraction]] = {}  # pivot -> row, 1 at the pivot
     for word in _standard_words(lam):
         # a permutation moves distinct set partitions to distinct ones

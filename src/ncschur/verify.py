@@ -215,7 +215,10 @@ def suite_ncschur_triangular(max_n: int = 5) -> SuiteReport:
     fail = partial(SuiteReport, "ncschur-triangular", False, detail)
     for n in range(1, max_n + 1):
         order = basis_order(n)
-        mat = schur.normalized_schur_transition(n)
+        try:
+            mat = schur.normalized_schur_transition(n)
+        except LookupError as exc:
+            return fail(f"n={n}: {exc}")
         for j in range(len(order)):
             if mat[j][j] != 1:
                 return fail(f"n={n}: diagonal entry at {format_set_partition(order[j])}")
@@ -508,20 +511,19 @@ def suite_specht(max_n: int = 5) -> SuiteReport:
     from .combinat import syt_count
 
     detail = f"shapes of size <= {max_n}"
+    fail = partial(SuiteReport, "specht", False, detail)
     seen = []
     for n in range(1, max_n + 1):
         for lam in partitions(n):
-            r = schur.specht_rank(lam)
+            try:
+                r = schur.specht_rank(lam)
+            except LookupError as exc:
+                return fail(f"n={n} lam={format_partition(lam)}: {exc}")
             f = syt_count(lam)
             seen.append(f"{format_partition(lam)}:{r}/{f}")
             expected = 0 if any(p % 2 and lam.count(p) > 1 for p in lam) else f
             if r != expected:
-                return SuiteReport(
-                    "specht",
-                    False,
-                    detail,
-                    f"lam={format_partition(lam)} rank={r} expected {expected}",
-                )
+                return fail(f"lam={format_partition(lam)} rank={r} expected {expected}")
     return SuiteReport("specht", True, f"{detail}; rank/standard-count {' '.join(seen)}")
 
 

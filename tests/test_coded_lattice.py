@@ -1,14 +1,14 @@
-"""The integer-coded refinement lattice behind ncsym.convert, against
-oracles that share no code with it: down-sets from combinat.refines,
-Moebius values from the defining recursion over refines, and codes decoded
-here digit by digit."""
+"""The refinement lattice behind ncsym.convert, against oracles that share
+no code with it: the coded down-sets and the up-set scatter from
+combinat.refines, Moebius values from the defining recursion over refines,
+and codes decoded here digit by digit."""
 
 from math import factorial, prod
 
 import pytest
 
-from ncschur.combinat import interval_partition, refines, set_partitions
-from ncschur.ncsym import NCSymExpr, _CodedLattice, _masks, from_m, to_m
+from ncschur.combinat import canonical_set_partition, interval_partition, refines, set_partitions
+from ncschur.ncsym import NCSymExpr, _CodedLattice, _masks, _up_sets, from_m, to_m
 
 MAX_DEGREE = 6
 
@@ -113,13 +113,20 @@ def test_weights_are_the_products_over_the_blocks(scale):
                 assert len(got) == len(codes) and got == expected, (sigma, scale)
 
 
-def test_the_walk_lists_every_down_set():
+def blocks_of(masks, n):
+    return tuple(tuple(x for x in range(1, n + 1) if m >> (x - 1) & 1) for m in masks)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_up_sets_are_the_coarsenings(mobius, weighted):
+    # tau's up-set with weight 1, or with mu(tau, sigma) given the tops
     for n in range(MAX_DEGREE + 1):
-        walked = list(_CodedLattice(n).down_sets())
-        assert sorted(sigma for sigma, _ in walked) == sorted(set_partitions(n))
-        for sigma, codes in walked:
-            taus = sorted(decode(c, n) if n else () for c in codes)
-            assert taus == sorted(tau for tau in set_partitions(n) if refines(tau, sigma))
+        for tau in set_partitions(n):
+            got = {blocks_of(masks, n): w for masks, w in
+                   _up_sets([(tuple(_masks(tau)), 1)], tops(n) if weighted else None).items()}
+            assert all(sigma == canonical_set_partition(sigma) for sigma in got), tau
+            above = [sigma for sigma in set_partitions(n) if refines(tau, sigma)]
+            assert got == {sigma: mobius[n][tau, sigma] if weighted else 1 for sigma in above}, tau
 
 
 @pytest.mark.parametrize("target", "peh")

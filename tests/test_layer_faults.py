@@ -8,7 +8,14 @@ import pytest
 
 from ncschur import combinat, lgv, ncsym, schur, sym
 from ncschur.combinat import SemistandardTableau, SkewShape
-from ncschur.verify import suite_lgv, suite_prod, suite_rslr, suite_rsrefines, suite_specht
+from ncschur.verify import (
+    suite_lgv,
+    suite_ncschur_triangular,
+    suite_prod,
+    suite_rslr,
+    suite_rsrefines,
+    suite_specht,
+)
 
 # ---------------------------------------------------------------------------
 # set-partition enumeration
@@ -49,6 +56,28 @@ def test_prod_reports_a_slash_factor_missing_from_the_enumeration(enumeration_wi
     report = suite_prod(max_size=5)
     assert not report.ok
     assert report.counterexample == "h: pi=1 sig=14/23"
+
+
+def test_ncschur_triangular_reports_a_schur_column_entry_missing_from_the_enumeration(
+        enumeration_without_14_23):
+    # smallest size: 4. The Schur column of 1/23/4 holds 14/23, which has
+    # no row in the transition matrix: the suite names it rather than
+    # raising KeyError
+    assert suite_ncschur_triangular(max_n=3).ok
+    report = suite_ncschur_triangular(max_n=4)
+    assert not report.ok
+    assert report.counterexample == "n=4: 14/23 is not in basis_order(4)"
+
+
+def test_specht_reports_a_specht_vector_term_missing_from_the_enumeration(
+        enumeration_without_14_23):
+    # smallest size: 4. The Specht vector of the standard tableau of 2.2
+    # with reading word 1324 holds 14/23, which has no place in the pivot
+    # order: the suite names it rather than raising KeyError
+    assert suite_specht(max_n=3).ok
+    report = suite_specht(max_n=4)
+    assert not report.ok
+    assert report.counterexample == "n=4 lam=2.2: 14/23 is not in basis_order(4)"
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +133,30 @@ def test_rsrefines_catches_a_code_read_back_with_the_last_element_moved(monkeypa
         report = suite_rsrefines(max_size=size)
         assert not report.ok
         assert report.counterexample == "2"
+
+
+def test_rsrefines_catches_an_up_set_scatter_that_doubles_the_top(monkeypatch):
+    good = ncsym._up_sets
+
+    def doubled(terms, tops=None):
+        # p_tau = sum of m_sigma over sigma >= tau, with m of the one-block
+        # sigma counted twice once tau has three blocks or more
+        terms = list(terms)
+        out = good(terms, tops)
+        if tops is None:
+            for masks, a in terms:
+                if len(masks) >= 3:
+                    out[(sum(masks),)] += a
+        return out
+
+    monkeypatch.setattr(ncsym, "_up_sets", doubled)
+    # smallest size: 3. Every source reaches m through the scatter from p;
+    # the first shape of size 3 is the row 3, whose source function h_123
+    # has the p-term p_1/2/3
+    assert suite_rsrefines(max_size=2).ok
+    report = suite_rsrefines(max_size=3)
+    assert not report.ok
+    assert report.counterexample == "3"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The default ``ncschur verify`` reports of the suites whose commands the
-README does not list (the README's are in perfbench/goldens.json): each
-suite at its CLI defaults, plain and ``--format json``, replayed in-process
+"""The default ``ncschur verify`` reports that perfbench/goldens.json does
+not pin: those of the suites whose commands the README does not list, and
+the README's ``verify prod`` and ``verify lgv``, which goldens.json leaves
+out (it holds the README's ``verify ncschur-triangular``). Each suite runs
+at its CLI defaults, plain and ``--format json``, replayed in-process
 against the recorded stdout, byte for byte, with exit code 0."""
 
 import pytest
@@ -15,6 +17,11 @@ SPECHT_DETAIL = (
 
 # suite -> (plain stdout, --format json stdout)
 GOLDENS = {
+    "prod": (
+        "prod: ok (|lam|+|mu| <= 7; slash/oracle pairs of total size <= 6)\n",
+        '{"name": "prod", "ok": true, "detail": "|lam|+|mu| <= 7; slash/oracle pairs of total '
+        'size <= 6", "counterexample": null}\n',
+    ),
     "transpose": (
         "transpose: ok (degrees n <= 5)\n",
         '{"name": "transpose", "ok": true, "detail": "degrees n <= 5", '
@@ -44,6 +51,11 @@ GOLDENS = {
         "iota: ok (compositions and shapes of size <= 6)\n",
         '{"name": "iota", "ok": true, "detail": "compositions and shapes of size <= 6", '
         '"counterexample": null}\n',
+    ),
+    "lgv": (
+        "lgv: ok (skew sizes <= 4, height cap <= 3, inner shapes of size <= 2)\n",
+        '{"name": "lgv", "ok": true, "detail": "skew sizes <= 4, height cap <= 3, inner shapes '
+        'of size <= 2", "counterexample": null}\n',
     ),
     "specht": (
         f"specht: ok ({SPECHT_DETAIL})\n",
