@@ -71,12 +71,6 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
-def partition_stats(lam: Partition) -> tuple[int, int, Partition]:
-    """Parts factorial, multiplicity factorial and transpose of a partition."""
-    lam = check_partition(lam)
-    return parts_factorial(lam), multiplicity_factorial(lam), transpose(lam)
-
-
 def sort_to_partition(parts) -> Partition:
     """Weakly decreasing rearrangement, zero parts removed."""
     return tuple(sorted((p for p in parts if p), reverse=True))
@@ -382,11 +376,6 @@ def perm_sign(delta: Perm) -> int:
         if clen % 2 == 0:
             sign = -sign
     return sign
-
-
-def perm_compose(delta: Perm, eta: Perm) -> Perm:
-    """delta after eta: i -> delta(eta(i))."""
-    return tuple(delta[e - 1] for e in eta)
 
 
 def shifted_concat(delta: Perm, eta: Perm) -> Perm:

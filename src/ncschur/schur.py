@@ -155,7 +155,8 @@ def _schur_columns():
 
 class _Places(dict):
     """The place of each set partition in basis_order(n); looking up one
-    that it does not list raises LookupError naming it."""
+    that it does not list raises LookupError naming it. It serves
+    normalized_schur_transition and the test-only family_rank."""
 
     def __init__(self, n: int):
         super().__init__((pi, i) for i, pi in enumerate(basis_order(n)))
@@ -335,25 +336,26 @@ def specht_rank(lam: Partition) -> int:
     filling t0, and w applied to the Specht vector v0 of t0 is the vector
     of w.t0 (the row class and the column stabilizer move with the
     entries). So the rank is that of the f^lam vectors w.v0, found by one
-    forward elimination of exact h-coordinate rows, pivots in basis_order."""
+    forward elimination of exact h-coordinate rows. The rank does not
+    depend on the pivot order, so each pivot is the least set partition of
+    its row as a plain tuple, and no basis order is read."""
     lam = check_partition(lam)
     v0 = specht_vector(YoungTableau(SkewShape(lam, ()), interval_partition(lam))).terms
     if not v0:
         return 0
-    pos = _Places(sum(lam))
     rows: dict[SetPartition, dict[SetPartition, Fraction]] = {}  # pivot -> row, 1 at the pivot
     for word in _standard_words(lam):
         # a permutation moves distinct set partitions to distinct ones
         terms = {relabel(word, pi): c for pi, c in v0.items()}
         # a row has no term before its pivot, so clearing the pivots in
-        # basis order never brings back one already cleared
-        for pivot in sorted(rows, key=pos.__getitem__):
+        # tuple order never brings back one already cleared
+        for pivot in sorted(rows):
             if c := terms.get(pivot):
                 for pi, x in rows[pivot].items():
                     terms[pi] = terms.get(pi, 0) - c * x
         terms = {pi: c for pi, c in terms.items() if c}
         if terms:
-            pivot = min(terms, key=pos.__getitem__)
+            pivot = min(terms)
             inv = 1 / terms[pivot]
             rows[pivot] = {pi: c * inv for pi, c in terms.items()}
     return len(rows)

@@ -11,7 +11,6 @@ from ncschur.combinat import (
     format_perm,
     format_set_partition,
     parse_set_partition,
-    partition_stats,
     set_partitions,
     shifted_concat,
     skew,
@@ -30,6 +29,7 @@ from ncschur.schur import (
 )
 from ncschur.sym import SymExpr, expand, jacobi_trudi
 from ncschur.verify import run_suite
+from combinat_helpers import partition_stats
 
 
 @contextmanager

@@ -26,7 +26,6 @@ from ncschur.combinat import (
     parse_perm,
     parse_set_partition,
     parse_skew,
-    partition_stats,
     partitions,
     permutations,
     permute_set_partition,
@@ -46,6 +45,7 @@ from ncschur.combinat import (
 )
 from ncschur.ncsym import NCSymExpr
 from ncschur.verify import skew_shapes
+from combinat_helpers import partition_stats
 
 
 def test_partition_stats_example():

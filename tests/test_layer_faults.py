@@ -69,17 +69,6 @@ def test_ncschur_triangular_reports_a_schur_column_entry_missing_from_the_enumer
     assert report.counterexample == "n=4: 14/23 is not in basis_order(4)"
 
 
-def test_specht_reports_a_specht_vector_term_missing_from_the_enumeration(
-        enumeration_without_14_23):
-    # smallest size: 4. The Specht vector of the standard tableau of 2.2
-    # with reading word 1324 holds 14/23, which has no place in the pivot
-    # order: the suite names it rather than raising KeyError
-    assert suite_specht(max_n=3).ok
-    report = suite_specht(max_n=4)
-    assert not report.ok
-    assert report.counterexample == "n=4 lam=2.2: 14/23 is not in basis_order(4)"
-
-
 # ---------------------------------------------------------------------------
 # the Jacobi-Trudi determinant
 

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from ncschur import cli
-from ncschur.combinat import SkewShape, perm_compose, permutations, skew, ssyt
+from ncschur.combinat import SkewShape, permutations, skew, ssyt
 from ncschur.lgv import (
     LatticePath,
     all_path_tuples,
@@ -23,6 +23,7 @@ from ncschur.lgv import (
     tuple_to_tableau,
 )
 from ncschur.verify import _relabel_tally, skew_shapes
+from combinat_helpers import perm_compose
 
 # the range that ``verify lgv`` checks at its defaults
 DEFAULT_RANGE = [(shape, k) for shape in skew_shapes(4, 2) for k in (1, 2, 3)]

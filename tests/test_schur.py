@@ -384,9 +384,24 @@ def test_specht_vector_is_the_unfiltered_signed_stabilizer_sum():
 
 
 def test_specht_rank_matches_the_filling_oracle():
-    for n in range(6):
+    # n = 7 would cost minutes: the oracle builds 7! fillings of the shape 7
+    for n in range(7):
         for lam in partitions(n):
             assert specht_rank(lam) == specht_rank_oracle(lam), lam
+
+
+def test_specht_rank_reads_no_basis_order_and_no_set_partition_enumeration(monkeypatch):
+    # the pivots are the least set partitions of their rows as plain
+    # tuples, so neither the basis order nor the enumeration it sorts is read
+    from ncschur import combinat, ncsym, schur
+
+    def refused(n):
+        raise AssertionError(f"enumerated the set partitions of {n}")
+
+    monkeypatch.setattr(combinat, "_set_partitions", refused)
+    monkeypatch.setattr(ncsym, "basis_order", refused)
+    monkeypatch.setattr(schur, "basis_order", refused)
+    assert specht_rank((4, 4, 2)) == 252
 
 
 def _relabel(w, t):
