@@ -81,13 +81,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    expr = _index_expr(args)
-    if args.to == "s":
-        from . import schur
-
-        _emit(args, schur.schur_basis_convert(expr, "s"))
-    else:
-        _emit(args, convert(expr, args.to))
+    _emit(args, convert(_index_expr(args), args.to))
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, le, lt
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -35,9 +35,9 @@ Perm = tuple[int, ...]
 
 def check_partition(lam: Partition) -> Partition:
     lam = tuple(lam)
-    if any(p < 1 for p in lam):
+    if min(lam, default=1) < 1:
         raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(lt, lam, lam[1:])):
         raise ValueError(f"partition parts must weakly decrease: {lam}")
     return lam
 
@@ -115,17 +115,22 @@ def coarsenings(alpha: Composition) -> Iterator[Composition]:
 
 def contains(lam: Partition, mu: Partition) -> bool:
     """Containment of diagrams, mu inside lam."""
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
+    return len(mu) <= len(lam) and all(map(le, mu, lam))
 
 
 # ---------------------------------------------------------------------------
 # skew shapes
 
-class SkewShape(NamedTuple):
-    outer: Partition
-    inner: Partition = ()
+class SkewShape(NamedTuple("SkewShape", [("outer", Partition), ("inner", Partition)])):
+    """outer/inner, checked when made: two partitions, inner inside outer."""
+
+    __slots__ = ()
+
+    def __new__(cls, outer: Partition, inner: Partition = ()):
+        outer, inner = check_partition(outer), check_partition(inner)
+        if not contains(outer, inner):
+            raise ValueError(f"inner shape {inner} not contained in {outer}")
+        return super().__new__(cls, outer, inner)
 
     @property
     def size(self) -> int:
@@ -154,10 +159,6 @@ class SkewShape(NamedTuple):
 
 
 def skew(outer: Partition, inner: Partition = ()) -> SkewShape:
-    outer = check_partition(outer)
-    inner = check_partition(inner)
-    if not contains(outer, inner):
-        raise ValueError(f"inner shape {inner} not contained in {outer}")
     return SkewShape(outer, inner)
 
 

@@ -4,8 +4,8 @@ involution, the permutation action, the projection to commuting variables,
 the coproduct, and the word-expansion bridge to the polynomial oracle.
 
 The Schur-type bases ("s", "st") are carried by the same expression class;
-their expansions into the h- and e-bases live in :mod:`ncschur.schur` and
-are pulled in lazily to avoid an import cycle.
+their expansions into the h- and e-bases and the solve into s live in
+:mod:`ncschur.schur` and are pulled in lazily to avoid an import cycle.
 """
 
 from __future__ import annotations
@@ -215,24 +215,29 @@ def _up_sets(terms, tops=None) -> dict[tuple[int, ...], int]:
 
 
 def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
-    """Exact basis change into m, p, e or h through p once (Rosas-Sagan):
-    h_pi = sum over tau <= pi of |mu(0, tau)| p_tau, e_pi the same with
-    mu(0, tau), m_pi = sum over sigma >= pi of mu(pi, sigma) p_sigma, and
-    p_tau = sum over sigma >= tau of m_sigma. s/st expand into h/e first.
-    Per degree, in integers over the lcm of the denominators, p is keyed by
-    the tuple of its block bitmasks (_masks). m and p meet over up-sets
-    (_up_sets); into m the terms come out in decreasing order of their mask
-    tuples. h/e and p meet over down-sets (_CodedLattice): an h/e-term
-    scatters over its coded down-set, each code read back into masks, and
-    into h/e p_sigma / mu(0, sigma), |mu| for h, scatters over the down-set
-    of sigma with weights mu(tau, sigma), the product over the blocks B of
-    sigma of mu(0, top) in the lattice of tau's blocks in B."""
-    if target not in ("m", "p", "e", "h"):
+    """Exact basis change into m, p, e, h or s: into s, h_to_schur of the
+    h-image; into the others through p once (Rosas-Sagan): h_pi = sum over
+    tau <= pi of |mu(0, tau)| p_tau, e_pi the same with mu(0, tau), m_pi =
+    sum over sigma >= pi of mu(pi, sigma) p_sigma, and p_tau = sum over
+    sigma >= tau of m_sigma. s/st expand into h/e first. Per degree, in
+    integers over the lcm of the denominators, p is keyed by the tuple of
+    its block bitmasks (_masks). m and p meet over up-sets (_up_sets); into
+    m the terms come out in decreasing order of their mask tuples. h/e and
+    p meet over down-sets (_CodedLattice): an h/e-term scatters over its
+    coded down-set, each code read back into masks, and into h/e p_sigma /
+    mu(0, sigma), |mu| for h, scatters over the down-set of sigma with
+    weights mu(tau, sigma), the product over the blocks B of sigma of
+    mu(0, top) in the lattice of tau's blocks in B."""
+    if target not in ("m", "p", "e", "h", "s"):
         raise ValueError(f"cannot convert into basis {target!r}")
-    if expr.basis in ("s", "st"):
+    if expr.basis in ("s", "st") and expr.basis != target:
         expr = to_h_or_e(expr)
     if expr.basis == target:
         return expr
+    if target == "s":
+        from .schur import h_to_schur
+
+        return h_to_schur(convert(expr, "h"))
     out = {}
     for n, ints, den in integer_degrees(expr.terms, sp_size):
         tops = [mobius_top(k) if k else 1 for k in range(n + 1)]
@@ -300,19 +305,15 @@ def to_h(expr: NCSymExpr) -> NCSymExpr:
 
 def product(f: NCSymExpr, g: NCSymExpr) -> NCSymExpr:
     """Bilinear product. On the p/e/h bases the indices multiply by the
-    slash product; everything else routes through the h-basis and converts
-    back."""
+    slash product; the rest multiply in h, and two m- or two s-factors
+    convert back (st x st and mixed pairs stay in h)."""
     if f.basis == g.basis and f.basis in ("p", "e", "h"):
         return NCSymExpr._trusted(f.basis, add_up(
             (slash(pi, sig), c1 * c2) for pi, c1 in f.terms.items() for sig, c2 in g.terms.items()
         ))
     prod_h = product(to_h(f), to_h(g))
-    if f.basis == g.basis == "m":
-        return to_m(prod_h)
-    if f.basis == g.basis == "s":
-        from .schur import h_to_schur
-
-        return h_to_schur(prod_h)
+    if f.basis == g.basis in ("m", "s"):
+        return convert(prod_h, f.basis)
     return prod_h
 
 
@@ -332,7 +333,7 @@ def omega(expr: NCSymExpr) -> NCSymExpr:
             "p", {pi: c * sp_sign(pi) for pi, c in expr.terms.items()}
         )
     if expr.basis == "m":
-        return to_m(omega(from_m(expr, "p")))
+        return convert(omega(convert(expr, "p")), "m")
     if expr.basis == "s":
         return NCSymExpr._trusted("st", expr.terms)
     return NCSymExpr._trusted("s", expr.terms)

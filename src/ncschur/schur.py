@@ -21,6 +21,7 @@ from .combinat import (
     SetPartition,
     SkewShape,
     YoungTableau,
+    canonical_set_partition,
     check_composition,
     check_partition,
     column_sets,
@@ -52,6 +53,7 @@ from .expr_format import add_up, back_substitute, integer_degrees
 from .ncsym import (
     NCSymExpr,
     basis_order,
+    convert,
     coproduct,
     delta_action,
     symmetrize,
@@ -102,9 +104,9 @@ def skew_schur_nc(delta: Perm, shape: SkewShape) -> NCSymExpr:
 
 
 def standard_schur(pi: SetPartition) -> NCSymExpr:
-    """The Schur basis element on a set partition, in the h-basis."""
-    _, delta = delta_pi(pi)
-    return skew_schur_nc(delta, SkewShape(shape_of(pi), ()))
+    """The Schur basis element on a set partition, in the h-basis: its Schur
+    column (_schur_columns), the source function of its shape relabelled."""
+    return NCSymExpr._trusted("h", _over_factorials(_schur_columns()(canonical_set_partition(pi))))
 
 
 def transposed_schur(pi: SetPartition) -> NCSymExpr:
@@ -211,12 +213,10 @@ def h_to_schur(expr: NCSymExpr) -> NCSymExpr:
 
 
 def schur_basis_convert(expr: NCSymExpr, target: str) -> NCSymExpr:
-    """Exact conversion between the Schur basis and the h-basis."""
-    if target == "s":
-        return h_to_schur(to_h(expr))
-    if target == "h":
-        return to_h(expr)
-    raise ValueError(f"cannot convert between Schur basis and {target!r}")
+    """Exact conversion between the s- and h-bases: convert into s or h only."""
+    if target not in ("s", "h"):
+        raise ValueError(f"cannot convert between Schur basis and {target!r}")
+    return convert(expr, target)
 
 
 # ---------------------------------------------------------------------------

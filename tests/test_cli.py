@@ -190,6 +190,22 @@ def test_multiply_slash(capsys):
     assert out.strip() == "h[12/3]"
 
 
+@pytest.mark.parametrize("basis, index, index2, want", [
+    ("s", "13/2", "1", "s[13/2/4] + s[13/24] + s[123/4]"),
+    ("s", "12", "12", "s[12/34] + s[123/4] + s[1234]"),
+    ("s", "1/2", "12/3", "s[1/2/34/5] + s[1/25/34] + s[134/2/5] + s[1/235/4] - s[1/2/345]"
+     " + s[14/235] + s[134/25] - s[125/34] - s[1345/2] + s[1235/4] + s[1234/5] - s[1/2345]"),
+    ("m", "13/2", "1", "m[13/2/4] + m[13/24] + m[134/2]"),
+    ("m", "12", "12", "m[12/34] + m[1234]"),
+    ("m", "1/2", "12/3", "m[1/2/34/5] + m[15/2/34] + m[1/25/34] + m[134/2/5] + m[1/234/5]"
+     " + m[15/234] + m[134/25]"),
+])
+def test_multiply_converts_two_m_or_two_s_factors_back(capsys, basis, index, index2, want):
+    code, out, _ = run(capsys, "multiply", "--basis", basis, "--index", index, "--index2", index2)
+    assert code == 0
+    assert out.strip() == want
+
+
 def test_omega(capsys):
     code, out, _ = run(capsys, "omega", "--basis", "p", "--index", "12/3")
     assert code == 0

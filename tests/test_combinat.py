@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncschur import combinat
+from ncschur import combinat, lgv, schur, sym
 from ncschur.combinat import (
     ParseError,
     SkewShape,
@@ -116,6 +116,37 @@ def test_concat_and_near_concat_shapes():
     assert near_concat((2, 1), (1,)) == skew((3, 2), (1,))
     assert concat((1,), (2, 1)) == skew((2, 2, 1), (1,))
     assert near_concat((1,), (2, 1)) == skew((3, 1))
+
+
+# each of these gave a silent answer (0, {(): 1}, a nonzero h-expression,
+# 12 path tuples) before a SkewShape checked itself when it is made
+@pytest.mark.parametrize("entry, outer, inner, message", [
+    (sym.lr_coefficients, (1,), (2,), r"inner shape \(2,\) not contained in \(1,\)"),
+    (schur.source_skew_schur, (1, 2), (), r"partition parts must weakly decrease: \(1, 2\)"),
+    (lambda shape: list(lgv.all_path_tuples(shape, 2)), (1, 2), (),
+     r"partition parts must weakly decrease: \(1, 2\)"),
+    (schur.rosas_sagan, (2,), (3,), r"inner shape \(3,\) not contained in \(2,\)"),
+    (lambda shape: kostka(shape, (1,)), (1,), (2,),
+     r"inner shape \(2,\) not contained in \(1,\)"),
+    (sym.jacobi_trudi, (1, 2), (), r"partition parts must weakly decrease: \(1, 2\)"),
+], ids=["lr_coefficients", "source_skew_schur", "all_path_tuples", "rosas_sagan", "kostka",
+        "jacobi_trudi"])
+def test_every_entry_point_rejects_an_invalid_skew_shape(entry, outer, inner, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(SkewShape(outer, inner))
+
+
+def test_a_skew_shape_checks_itself_as_skew_does():
+    assert SkewShape([3, 2], [1]) == skew((3, 2), (1,)) == ((3, 2), (1,))
+    assert SkewShape((2, 1)).inner == ()
+    for outer, inner in [((1,), (2,)), ((1, 2), ()), ((2, 0), ()), ((2,), (1, 1))]:
+        with pytest.raises(ValueError) as made:
+            SkewShape(outer, inner)
+        with pytest.raises(ValueError) as checked:
+            skew(outer, inner)
+        assert str(made.value) == str(checked.value)
+    # the Jacobi-Trudi walk itself still takes a composition, as nsym needs
+    assert jacobi_trudi_terms((1, 2)) == [(1, (1, 2)), (-1, (2, 1))]
 
 
 def test_ribbon_shape():

@@ -92,6 +92,20 @@ def test_schur_is_permutation_of_source():
     assert skew_schur_nc((1, 3, 2), skew((2, 1))) == standard_schur(pi)
 
 
+def test_standard_schur_is_the_permuted_source_function_to_degree_6():
+    # the route standard_schur took before it read the Schur column
+    for n in range(7):
+        for pi in set_partitions(n):
+            want = delta_action(delta_pi(pi)[1], source_skew_schur(skew(shape_of(pi))))
+            got = standard_schur(pi)
+            assert got == want and list(got.terms) == list(want.terms), pi
+
+
+def test_standard_schur_rejects_blocks_that_partition_no_initial_interval():
+    with pytest.raises(ValueError, match="^blocks do not partition an initial interval"):
+        standard_schur(((1,), (3,)))
+
+
 def test_skew_schur_nc_size_check():
     with pytest.raises(ValueError):
         skew_schur_nc((1, 2), skew((2, 1)))
@@ -384,7 +398,7 @@ def test_specht_vector_is_the_unfiltered_signed_stabilizer_sum():
 
 
 def test_specht_rank_matches_the_filling_oracle():
-    # n = 7 would cost minutes: the oracle builds 7! fillings of the shape 7
+    # n = 7 would cost about half a minute, 12 s of it for the shape 4.3
     for n in range(7):
         for lam in partitions(n):
             assert specht_rank(lam) == specht_rank_oracle(lam), lam
