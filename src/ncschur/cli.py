@@ -10,22 +10,13 @@ printed), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .combinat import (
-    ParseError,
-    SkewShape,
-    format_partition,
-    kostka,
-    parse_digit_blocks,
-    parse_partition,
-    parse_perm,
-    parse_set_partition,
-    parse_skew,
-    tableau,
-)
-from .ncsym import NCSymExpr, convert, delta_action, omega, oracle_expand, rho, to_m
+# only the index parsers load here: each command imports the modules it runs
+# in its own body (ncsym for the NCSym commands, shapes for the shape and
+# tableau commands, words only under expand --vars), since a module imported
+# here would be loaded, and without cached bytecode compiled, by every command
+from .combinat import ParseError, parse_digit_blocks, parse_perm, parse_set_partition
 
 # the size keywords of the verify suites; each suite takes exactly one
 SIZE_OPTIONS = ("max_size", "max_n", "max_degree")
@@ -38,6 +29,8 @@ PLAIN_ONLY = ("lr", "kostka", "specht-rank", "lgv-check")
 
 
 def _index_expr(args) -> NCSymExpr:
+    from .ncsym import NCSymExpr
+
     if args.expr is not None:
         given = [opt for opt, value in (("--index", args.index), ("--basis", args.basis))
                  if value is not None]
@@ -55,6 +48,8 @@ def _emit(args, expr) -> None:
 
 
 def _parse_tableau_rows(text: str):
+    from .shapes import SkewShape, tableau
+
     rows = parse_digit_blocks(text)
     lam = tuple(len(r) for r in rows)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -63,8 +58,12 @@ def _parse_tableau_rows(text: str):
 
 
 def cmd_expand(args) -> int:
+    from .ncsym import to_m
+
     expr = _index_expr(args)
     if args.vars is not None:
+        from .words import oracle_expand
+
         try:
             poly = oracle_expand(expr, args.vars)
         except OverflowError as exc:
@@ -81,12 +80,15 @@ def cmd_expand(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .ncsym import convert
+
     _emit(args, convert(_index_expr(args), args.to))
     return 0
 
 
 def cmd_schur(args) -> int:
     from . import schur
+    from .shapes import parse_skew
 
     if args.transpose and args.pi is None:
         raise ValueError("schur: --transpose needs --pi")
@@ -106,6 +108,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_multiply(args) -> int:
+    from .ncsym import NCSymExpr
+
     f = NCSymExpr.single(args.basis, parse_set_partition(args.index))
     g = NCSymExpr.single(args.basis, parse_set_partition(args.index2))
     _emit(args, f * g)
@@ -113,22 +117,29 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_rho(args) -> int:
+    from .ncsym import rho
+
     _emit(args, rho(_index_expr(args)))
     return 0
 
 
 def cmd_omega(args) -> int:
+    from .ncsym import omega
+
     _emit(args, omega(_index_expr(args)))
     return 0
 
 
 def cmd_act(args) -> int:
+    from .ncsym import delta_action
+
     _emit(args, delta_action(parse_perm(args.delta), _index_expr(args)))
     return 0
 
 
 def cmd_rs(args) -> int:
     from . import schur
+    from .shapes import parse_skew
 
     _emit(args, schur.rosas_sagan(parse_skew(args.shape)))
     return 0
@@ -136,6 +147,7 @@ def cmd_rs(args) -> int:
 
 def cmd_lr(args) -> int:
     from . import sym
+    from .shapes import format_partition, parse_skew
 
     # the pairs of schur.rs_lr_expand, without compiling the Schur module
     for nu, c in sym.lr_coefficients(parse_skew(args.shape)).items():
@@ -144,12 +156,15 @@ def cmd_lr(args) -> int:
 
 
 def cmd_kostka(args) -> int:
+    from .shapes import kostka, parse_partition, parse_skew
+
     print(kostka(parse_skew(args.shape), parse_partition(args.content)))
     return 0
 
 
 def cmd_specht_rank(args) -> int:
     from . import schur
+    from .shapes import parse_partition
 
     print(schur.specht_rank(parse_partition(args.shape)))
     return 0
@@ -157,6 +172,7 @@ def cmd_specht_rank(args) -> int:
 
 def cmd_lgv_check(args) -> int:
     from . import lgv
+    from .shapes import parse_skew
 
     shape = parse_skew(args.shape)
     try:
@@ -177,6 +193,7 @@ def cmd_verify(args) -> int:
     takes a seed. Anything else is a usage error. With --format json the
     report prints as one object with the SuiteReport fields."""
     import inspect
+    import json
 
     from . import verify
 

@@ -4,7 +4,6 @@ print as reduced fractions."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -179,6 +178,8 @@ class LinearCombination:
         return sorted(self.terms.items(), key=lambda item: self.sort_key(item[0]))
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "algebra": self.ALGEBRA,
@@ -197,6 +198,8 @@ class LinearCombination:
         "coeff", an integer or a string. Parsing canonicalizes, so the
         coefficients of repeated spellings of one index add up. A malformed
         payload raises ValueError naming the field."""
+        import json
+
         data = json.loads(text)
         raw_terms = _field(data, "terms", list, "payload")
         algebra = data.get("algebra", cls.ALGEBRA)

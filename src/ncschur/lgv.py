@@ -16,15 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .combinat import (
-    Perm,
-    SemistandardTableau,
-    SkewShape,
-    check_perm,
-    perm_sign,
-    permutations,
-    ssyt,
-)
+from .combinat import Perm, check_perm, perm_sign, permutations
+from .shapes import SemistandardTableau, SkewShape, ssyt
 
 
 class LatticePath(NamedTuple):

@@ -8,19 +8,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combinat import (
-    Composition,
+from .combinat import Composition, interval_partition, parts_factorial
+from .expr_format import LinearCombination, add_up
+from .ncsym import NCSymExpr
+from .shapes import (
     check_composition,
     coarsenings,
     format_composition,
-    interval_partition,
     jacobi_trudi_terms,
     parse_composition,
-    parts_factorial,
     sort_to_partition,
 )
-from .expr_format import LinearCombination, add_up
-from .ncsym import NCSymExpr
 from .sym import SymExpr
 
 

@@ -19,35 +19,17 @@ from .combinat import (
     Partition,
     Perm,
     SetPartition,
-    SkewShape,
-    YoungTableau,
     canonical_set_partition,
-    check_composition,
-    check_partition,
-    column_sets,
-    column_stabilizer,
-    concat,
-    contains,
-    delta_pi,
     format_set_partition,
     interval_partition,
-    jacobi_trudi_terms,
-    kostka_row,
-    near_concat,
     parts_factorial,
-    partitions,
     perm_sign,
     permutations,
     relabel,
-    ribbon_shape,
-    row_equivalence_class,
     set_partitions,
     shape_of,
     shifted_concat,
-    skew,
     sp_size,
-    ssyt,
-    tableau,
 )
 from .expr_format import add_up, back_substitute, integer_degrees
 from .ncsym import (
@@ -59,6 +41,26 @@ from .ncsym import (
     symmetrize,
     to_h,
     to_m,
+)
+from .shapes import (
+    SkewShape,
+    YoungTableau,
+    check_composition,
+    check_partition,
+    column_sets,
+    column_stabilizer,
+    concat,
+    contains,
+    delta_pi,
+    jacobi_trudi_terms,
+    kostka_row,
+    near_concat,
+    partitions,
+    ribbon_shape,
+    row_equivalence_class,
+    skew,
+    ssyt,
+    tableau,
 )
 # littlewood_richardson is re-exported: perfbench's tracer test rebinds it here
 from .sym import littlewood_richardson, lr_coefficients  # noqa: F401
@@ -368,7 +370,7 @@ def rosas_sagan(shape: SkewShape) -> NCSymExpr:
     """The Rosas-Sagan skew Schur function in the m-basis: the sum over
     shapes nu of (parts factorial of nu) times the Kostka number, spread
     over all set partitions of that shape. The Kostka numbers come from one
-    branching-rule pass over the shape (combinat.kostka_row)."""
+    branching-rule pass over the shape (shapes.kostka_row)."""
     coeff = {nu: Fraction(parts_factorial(nu) * k) for nu, k in kostka_row(shape).items()}
     terms = {pi: c for pi in set_partitions(shape.size) if (c := coeff.get(shape_of(pi)))}
     return NCSymExpr._trusted("m", terms)
@@ -430,7 +432,7 @@ def skew_kostka_check(shape: SkewShape, pairs, rs: NCSymExpr) -> bool:
     its coefficient of any set partition of type gamma, here the interval
     one, is gamma! times K(shape, gamma). The straight rows are the Kostka
     numbers of the classical Schur functions s_nu as ints, each one
-    combinat.kostka_row pass over nu, looked up through sym._index_to_m at
+    shapes.kostka_row pass over nu, looked up through sym._index_to_m at
     each call; the weighted sums stay in ints and meet rs's Fractions only
     in the one exact comparison per gamma."""
     rows = [(c, sym._index_to_m("s", nu)) for nu, c in pairs]

@@ -7,7 +7,7 @@ constant is a count: the coefficient of m_lam in m_mu m_nu is the number of
 ways to split the exponent vector lam into rearrangements of mu and nu, and
 h/e/p_lam is a product of monomial functions. Schur functions expand by
 Kostka numbers, a whole row per shape from one branching-rule pass
-(combinat.kostka_row). Littlewood-Richardson coefficients count the
+(shapes.kostka_row). Littlewood-Richardson coefficients count the
 fillings of the skew shape whose reverse reading word is a lattice word
 (the Littlewood-Richardson rule); skew_schur(shape, "s"), the Jacobi-Trudi
 determinant rewritten m -> s, is the independent route the tests compare
@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import itemgetter
 
-from .combinat import (
-    Partition,
+from .combinat import Partition
+from .shapes import (
     SkewShape,
     check_partition,
     contains,

@@ -16,35 +16,20 @@ from typing import Callable, NamedTuple
 
 from . import lgv, nsym, schur
 from .combinat import (
-    SkewShape,
-    compositions,
-    contains,
-    format_partition,
     format_perm,
     format_set_partition,
     interval_partition,
     parts_factorial,
-    partitions,
     permutations,
     set_partitions,
     shape_of,
-    skew,
-    transpose,
 )
 from .expr_format import add_up
-from .ncsym import (
-    _EXPANDERS,
-    NCSymExpr,
-    basis_order,
-    delta_action,
-    omega,
-    rho,
-    symmetrize,
-    to_m,
-    word_vectors,
-)
+from .ncsym import NCSymExpr, basis_order, delta_action, omega, rho, symmetrize, to_m
 from .nsym import NSymExpr
+from .shapes import SkewShape, compositions, contains, format_partition, partitions, skew, transpose
 from .sym import jacobi_trudi
+from .words import _EXPANDERS, word_vectors
 
 
 class SuiteReport(NamedTuple):
@@ -315,7 +300,7 @@ def suite_rslr(max_size: int = 6, inner_cap: int = 3) -> SuiteReport:
     Littlewood-Richardson coefficients, and skew Kostka numbers split the
     same way. The coefficients count lattice-word fillings
     (sym.lr_coefficients), the Rosas-Sagan functions come from the
-    branching rule (combinat.kostka_row, one pass per shape), and so do the
+    branching rule (shapes.kostka_row, one pass per shape), and so do the
     straight Kostka rows, the m-expansions of the Schur functions as ints
     (sym._index_to_m). The skew Kostka row is read off the shape's
     Rosas-Sagan function, built once for both checks. Each straight function
@@ -391,7 +376,7 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
     compares integer lists: per start matching, the tally of the tuples'
     monomials, counted in Python integers and written at the base-k word
     indices, times the common denominator, against the integer word vector
-    (ncsym.word_vectors) of the matching's h-element. Last, the swap of the
+    (words.word_vectors) of the matching's h-element. Last, the swap of the
     source paper's worked example (3.3.2/1.1, cap 3) must exchange its
     labels by 342156: swapping at the first meeting column of the two
     paths is also a sign-reversing, height-preserving involution with the
@@ -458,7 +443,7 @@ def suite_lgv(max_size: int = 4, height_cap: int = 3, inner_cap: int = 2) -> Sui
 def _tally_vector(by_content: dict, n: int, k: int, scale: int) -> list[int]:
     """_relabel_tally of a content tally as a list of k^n integers, each
     count times scale, the word w_1...w_n at the base-k index sum over x of
-    (w_x - 1) k^(n - x), as ncsym.word_vectors indexes its entries."""
+    (w_x - 1) k^(n - x), as words.word_vectors indexes its entries."""
     place = [k ** (n - x) for x in range(1, n + 1)]
     out, offset = [0] * k**n, sum(place)  # the letters count from 1, the digits from 0
     for word, c in _relabel_tally(by_content).items():
@@ -508,7 +493,7 @@ def suite_specht(max_n: int = 5) -> SuiteReport:
     the source paper: the vector of the row-reading filling vanishes exactly
     at a repeated odd part for every shape of size <= 10, and the ranks
     match it for every shape of size <= 10."""
-    from .combinat import syt_count
+    from .shapes import syt_count
 
     detail = f"shapes of size <= {max_n}"
     fail = partial(SuiteReport, "specht", False, detail)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncschur import combinat, lgv, schur, sym
+from ncschur import lgv, schur, shapes, sym
 from ncschur.combinat import (
     ParseError,
     SkewShape,
@@ -147,6 +147,18 @@ def test_a_skew_shape_checks_itself_as_skew_does():
         assert str(made.value) == str(checked.value)
     # the Jacobi-Trudi walk itself still takes a composition, as nsym needs
     assert jacobi_trudi_terms((1, 2)) == [(1, (1, 2)), (-1, (2, 1))]
+
+
+def test_a_skew_shape_made_by_make_or_replace_is_checked_as_skew_does():
+    shape = SkewShape((2, 1))
+    assert shape._replace(inner=(1,)) == skew((2, 1), (1,))
+    assert type(shape._replace(inner=(1,))) is SkewShape
+    assert SkewShape._make([(3, 1), (1,)]) == skew((3, 1), (1,))
+    for build in (lambda: shape._replace(inner=(3,)), lambda: SkewShape._make([(2, 1), (3,)])):
+        with pytest.raises(ValueError, match=r"^inner shape \(3,\) not contained in \(2, 1\)$"):
+            build()
+    with pytest.raises(ValueError, match=r"^partition parts must weakly decrease: \(1, 2\)$"):
+        shape._replace(outer=(1, 2))
 
 
 def test_ribbon_shape():
@@ -344,18 +356,19 @@ def test_the_determinant_walk_has_no_dead_ends(monkeypatch):
     # every call of the bottom-up walk places a row on the way to a term:
     # at most one call per row and term, and the first
     calls = 0
-    walk = combinat._leibniz
+    walk = shapes._leibniz
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return walk(*args)
 
-    monkeypatch.setattr(combinat, "_leibniz", counted)
+    monkeypatch.setattr(shapes, "_leibniz", counted)
     total = 0
     for shape in skew_shapes(7, 3):
         calls = 0
         terms = jacobi_trudi_terms(shape.outer, shape.inner)
+        assert calls, str(shape)  # the spy is reached: the bound is not met by 0 calls
         assert calls <= shape.rows * len(terms) + 1, str(shape)
         total += len(terms)
     assert total == 3868

@@ -62,6 +62,67 @@ def test_the_schur_basis_change_and_the_triangular_suite_run_no_dense_eliminatio
     assert "ncschur.ratlin" not in loaded
 
 
+NCSYM_ONLY = ["ncschur", "ncschur.cli", "ncschur.combinat", "ncschur.expr_format", "ncschur.ncsym"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--basis", "m", "--index", "13/2", "--to", "e"],
+    ["omega", "--basis", "m", "--index", "13/2"],
+    ["act", "--basis", "h", "--index", "13/2", "--delta", "213"],
+    ["multiply", "--basis", "h", "--index", "13/2", "--index2", "1/2"],
+    ["expand", "--basis", "h", "--index", "13/2"],
+])
+def test_an_ncsym_command_loads_exactly_cli_combinat_ncsym_and_expr_format(argv):
+    assert fresh(f"import ncschur.cli as cli; cli.main({argv!r}); " + LOADED) == NCSYM_ONLY
+
+
+@pytest.mark.parametrize("argv, present, absent", [
+    (["lr", "--shape", "2.2/1"], ["shapes", "sym"], ["ncsym", "words"]),
+    (["kostka", "--shape", "3.2/1", "--content", "2.2"], ["shapes"], ["ncsym"]),
+    (["schur", "--pi", "13/2"], ["schur", "shapes"], ["words", "ncpoly"]),
+    (["rs", "--shape", "2.1"], ["schur", "shapes"], ["words", "ncpoly"]),
+    (["rho", "--basis", "h", "--index", "13/2"], ["sym"], ["words", "ncpoly"]),
+    (["expand", "--basis", "m", "--index", "13/2", "--vars", "2"], ["words", "ncpoly"], []),
+])
+def test_a_command_loads_the_shape_side_and_the_word_layer_only_where_it_runs_them(
+        argv, present, absent):
+    loaded = fresh(f"import ncschur.cli as cli; cli.main({argv!r}); " + LOADED)
+    assert [name for name in present if f"ncschur.{name}" not in loaded] == []
+    assert [name for name in absent if f"ncschur.{name}" in loaded] == []
+
+
+# The benchmark's set-ups import these modules before its first timed op. A
+# library function that imports on use must find its module loaded by then,
+# or the module is compiled inside a timed op.
+NEW_MODULES = ("print(json.dumps(sorted({m for m in sys.modules "
+               "if m.startswith('ncschur')} - before)))")
+
+
+def test_the_verify_set_up_loads_every_module_that_the_suites_run():
+    assert fresh(
+        "import json, sys\n"
+        "from ncschur import verify\n"
+        "before = {m for m in sys.modules if m.startswith('ncschur')}\n"
+        "for name in verify.SUITES:\n"
+        "    assert verify.run_suite(name).ok, name\n"
+        + NEW_MODULES
+    ) == []
+
+
+def test_the_basis_set_up_loads_every_module_that_its_ops_run():
+    assert fresh(
+        "import json, sys\n"
+        "from ncschur import ncsym, schur, sym\n"
+        "before = {m for m in sys.modules if m.startswith('ncschur')}\n"
+        "terms = {((1, 3), (2,)): 1, ((1, 2, 4), (3,)): -2}\n"
+        "for target in 'peh':\n"
+        "    ncsym.from_m(ncsym.NCSymExpr('m', terms), target)\n"
+        "schur.h_to_schur(ncsym.NCSymExpr('h', terms))\n"
+        "sym.m_to_s(sym.SymExpr('m', {(2, 1): 1, (2, 2): 3}))\n"
+        + NEW_MODULES
+    ) == []
+
+
 def test_lr_does_not_load_the_schur_module():
     loaded = fresh("import ncschur.cli as cli; cli.main(['lr', '--shape', '2.2/1']); " + LOADED)
     assert "ncschur.sym" in loaded

@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from ncschur import combinat, lgv, ncsym, schur, sym
+from ncschur import combinat, lgv, ncsym, schur, shapes, sym, words
 from ncschur.combinat import SemistandardTableau, SkewShape
 from ncschur.verify import (
     suite_lgv,
@@ -74,7 +74,7 @@ def test_ncschur_triangular_reports_a_schur_column_entry_missing_from_the_enumer
 
 
 def walk_with_the_top_down_sign(rows, i, used, sign, entries, out):
-    """combinat._leibniz counting the placed columns right of the new one,
+    """shapes._leibniz counting the placed columns right of the new one,
     as a walk from the top row would, where the bottom-up walk counts
     those left of it."""
     if i < 0:
@@ -88,7 +88,7 @@ def walk_with_the_top_down_sign(rows, i, used, sign, entries, out):
 
 
 def test_rsrefines_catches_a_sign_flip_in_the_determinant_walk(monkeypatch):
-    monkeypatch.setattr(combinat, "_leibniz", walk_with_the_top_down_sign)
+    monkeypatch.setattr(shapes, "_leibniz", walk_with_the_top_down_sign)
     # smallest size: 0 cells, with inner shapes of size 2. The first shape
     # with two rows is 1.1/1.1, whose one term, the identity, is placed in
     # column 1, then column 0 with column 1 right of it: its sign turns -1
@@ -339,7 +339,7 @@ def test_lgv_reports_fixed_points_that_miss_the_fillings(monkeypatch):
 
 
 def test_lgv_catches_a_wrong_h_weight_through_the_integer_bridge(monkeypatch):
-    good = ncsym._h_weights
+    good = words._h_weights
 
     def wrong(size, k):
         vals = good(size, k)
@@ -349,7 +349,7 @@ def test_lgv_catches_a_wrong_h_weight_through_the_integer_bridge(monkeypatch):
             vals[1] += 1
         return vals
 
-    monkeypatch.setattr(ncsym, "_h_weights", wrong)
+    monkeypatch.setattr(words, "_h_weights", wrong)
     # smallest size: 2, the first with a block of two letters; at k = 1 the
     # block's only word x1 x1 keeps its weight 2
     assert suite_lgv(max_size=1).ok

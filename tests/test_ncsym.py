@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncschur import ncsym
+from ncschur import ncsym, words
 from ncschur.combinat import (
     interval_partition,
     parse_set_partition,
@@ -407,7 +407,7 @@ def test_spread_matches_its_index_formula():
                         kept = [d for d, take in zip(digits, picks) if take]
                         expected.append(vals[sum(d * k ** (len(kept) - 1 - i)
                                                  for i, d in enumerate(kept))])
-                    assert ncsym._spread(vals, letters, target, k) == expected, (
+                    assert words._spread(vals, letters, target, k) == expected, (
                         letters, target, k)
 
 
@@ -416,25 +416,25 @@ def test_words_outer_product_route_matches_the_joint_letter_route(n, ks):
     # the pools' product is commutative; in reverse order no pool after the
     # first has its least letter past every covered letter, so every later
     # pool multiplies over the joint letters instead of as an outer product
-    weights = (ncsym._h_weights, ncsym._e_weights, ncsym._p_weights)
+    weights = (words._h_weights, words._e_weights, words._p_weights)
     for k in ks:
         for pi in set_partitions(n):
             for weight in weights:
                 pools = [(b, weight(len(b), k)) for b in pi]
-                assert ncsym._words(n, k, pools[::-1]) == ncsym._words(n, k, pools), (
+                assert words._words(n, k, pools[::-1]) == words._words(n, k, pools), (
                     pi, k, weight.__name__)
             # _expand_m's one joint pool over 1..n (its own expansion), with
             # a pool on the last letter weighted by its digit put after it
             # (then that pool is the joint one) or before it (then the m pool is)
-            m_vals = ncsym._expand_m(pi, k)
+            m_vals = words._expand_m(pi, k)
             expected = array("q", [c * (w % k + 1) for w, c in enumerate(m_vals)])
             m_pools = [(range(1, n + 1), m_vals), ((n,), array("q", [d + 1 for d in range(k)]))]
-            assert ncsym._words(n, k, m_pools) == expected, (pi, k)
-            assert ncsym._words(n, k, m_pools[::-1]) == expected, (pi, k)
+            assert words._words(n, k, m_pools) == expected, (pi, k)
+            assert words._words(n, k, m_pools[::-1]) == expected, (pi, k)
 
 
 def reference_words(n: int, k: int, pools) -> array:
-    """The reference for ncsym._words (its previous form): every pool
+    """The reference for words._words (its previous form): every pool
     multiplies into the product over all letters covered so far, as one
     scaled copy of the pool per entry of that product when its least letter
     follows every covered letter, else both spread to their joint letters
@@ -452,20 +452,20 @@ def reference_words(n: int, k: int, pools) -> array:
             out, covered = product, (*covered, *letters)
         else:
             joint = tuple(sorted({*covered, *letters}))
-            out = array("q", map(operator.mul, ncsym._spread(out, covered, joint, k),
-                                 ncsym._spread(vals, letters, joint, k)))
+            out = array("q", map(operator.mul, words._spread(out, covered, joint, k),
+                                 words._spread(vals, letters, joint, k)))
             covered = joint
-    return ncsym._spread(out, covered, range(1, n + 1), k)
+    return words._spread(out, covered, range(1, n + 1), k)
 
 
 @pytest.mark.parametrize("n, ks", [(n, range(1, 5)) for n in range(1, 7)] + [(6, [6])])
 def test_words_match_the_reference_route(n, ks):
-    weights = (ncsym._h_weights, ncsym._e_weights, ncsym._p_weights)
+    weights = (words._h_weights, words._e_weights, words._p_weights)
     for k in ks:
         for pi in set_partitions(n):
             for weight in weights:
                 pools = [(b, weight(len(b), k)) for b in pi]
-                assert ncsym._words(n, k, pools) == reference_words(n, k, pools), (
+                assert words._words(n, k, pools) == reference_words(n, k, pools), (
                     pi, k, weight.__name__)
 
 
@@ -478,23 +478,23 @@ def test_words_multiply_an_interleaved_later_component_on_its_own_letters(text):
     # 23, 56, 14 the last pool joins 56 and then 23
     pi, k = parse_set_partition(text), 3
     n = sp_size(pi)
-    for weight in (ncsym._h_weights, ncsym._e_weights, ncsym._p_weights):
+    for weight in (words._h_weights, words._e_weights, words._p_weights):
         pools = [(b, weight(len(b), k)) for b in pi]
         expected = reference_words(n, k, pools)
         for order in itertools.permutations(pools):
-            assert ncsym._words(n, k, order) == expected, (text, order, weight.__name__)
+            assert words._words(n, k, order) == expected, (text, order, weight.__name__)
 
 
 def test_joint_steps_stay_inside_their_component(monkeypatch):
     # for 12/35/46 at k = 6 the (4,6) pool and the (3,5) one spread to 3..6
     # (6^4 entries) and no further; only the last spread reaches 1..6
-    spread, targets = ncsym._spread, []
+    spread, targets = words._spread, []
 
     def spy(vals, letters, target, k):
         targets.append(tuple(target))
         return spread(vals, letters, target, k)
 
-    monkeypatch.setattr(ncsym, "_spread", spy)
+    monkeypatch.setattr(words, "_spread", spy)
     ncsym._EXPANDERS["h"](parse_set_partition("12/35/46"), 6)
     assert targets == [(3, 4, 5, 6), (3, 4, 5, 6), (1, 2, 3, 4, 5, 6)]
 
@@ -505,14 +505,14 @@ def test_outer_product_in_both_orientations():
     short, long_ = array("q", [0, 1, 3, 3]), array("q", [2, 0, 1, 5, 2, 2, 0, 1, 7])
     for left, right in ((short, long_), (long_, short), (short, short), (long_, long_[:1])):
         expected = array("q", [a * b for a in left for b in right])
-        assert ncsym._outer(left, right) == expected, (left, right)
+        assert words._outer(left, right) == expected, (left, right)
     # the same through _words: a pool on 1..a, then one on the letters after
     for k, a, n in ((3, 2, 3), (3, 1, 3), (2, 2, 4)):
         first = array("q", [(0, 1, 2, 2, 3)[i % 5] for i in range(k**a)])
         second = array("q", [(2, 0, 1, 2)[i % 4] for i in range(k ** (n - a))])
         pools = [(tuple(range(1, a + 1)), first), (tuple(range(a + 1, n + 1)), second)]
         expected = array("q", [c1 * c2 for c1 in first for c2 in second])
-        assert ncsym._words(n, k, pools) == expected == reference_words(n, k, pools), (k, a)
+        assert words._words(n, k, pools) == expected == reference_words(n, k, pools), (k, a)
 
 
 def test_largest_coefficient_at_the_oracle_limits_fits_the_word_vector():

@@ -5,7 +5,10 @@ attribute, or in the class's own __dict__ for ``Class.method``."""
 import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
+
+import ncschur
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -55,3 +58,19 @@ def test_every_memo_table_is_a_benchmark_metric():
     ]
     tables = load_tracer().cache_tables()
     assert sorted(set(tables) - set(listed)) == []
+
+
+def test_every_memo_table_lives_in_a_module_the_tracer_scans():
+    # cache_tables reads only the modules in tracer.MODULES: a table moved
+    # into any other module would leave its memo.* metrics unseen
+    scanned = set(load_tracer().MODULES)
+    found, outside = [], []
+    for info in pkgutil.iter_modules(ncschur.__path__):
+        module = importlib.import_module(f"ncschur.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", "") == module.__name__:
+                found.append(f"{info.name}.{name}")
+                if info.name not in scanned:
+                    outside.append(found[-1])
+    assert "combinat._set_partitions" in found and "ncsym.basis_order" in found
+    assert outside == []
